@@ -13,7 +13,7 @@ use ss_bench::banner;
 #[cfg(all(feature = "telemetry", feature = "faults"))]
 fn generate() {
     use ss_core::{FabricConfig, FabricConfigKind, LatePolicy, StreamState};
-    use ss_endsystem::{run_threaded_traced, TraceConfig};
+    use ss_endsystem::{run_threaded, ThreadedOptions};
     use ss_faults::{FaultConfig, FaultInjector, RetryPolicy};
     use ss_telemetry::{perfetto_json, stitch, validate_causal, validate_perfetto_schema, Stage};
     use std::sync::Arc;
@@ -47,15 +47,17 @@ fn generate() {
             ..FaultConfig::quiet()
         },
     ));
-    let mut trace = TraceConfig::new(1 << 16, 512);
-    trace.faults = Some((inj, RetryPolicy::default()));
-    let out = run_threaded_traced(
+    let mut opts = ThreadedOptions::default();
+    opts.trace = Some((1 << 16, 512));
+    opts.faults = Some((inj, RetryPolicy::default()));
+    let report = run_threaded(
         FabricConfig::edf(slots, FabricConfigKind::WinnerOnly),
         states(slots),
         per_slot,
-        trace,
+        opts,
     )
     .expect("traced chaos run completes");
+    let out = report.trace.expect("traced");
 
     let stitched = stitch(&out.tracks);
     validate_causal(&stitched).expect("stitched stream is causally ordered");
@@ -67,8 +69,8 @@ fn generate() {
         "  {} events across {} tracks ({} served, {} lost) → {}",
         stitched.len(),
         out.tracks.len(),
-        out.report.total,
-        out.report.lost,
+        report.total,
+        report.lost,
         trace_path.display()
     );
 
@@ -80,15 +82,18 @@ fn generate() {
             ..FaultConfig::quiet()
         },
     ));
-    let mut trace = TraceConfig::new(1 << 14, 256);
-    trace.faults = Some((inj, RetryPolicy::default()));
-    let out = run_threaded_traced(
+    let mut opts = ThreadedOptions::default();
+    opts.trace = Some((1 << 14, 256));
+    opts.faults = Some((inj, RetryPolicy::default()));
+    let out = run_threaded(
         FabricConfig::edf(4, FabricConfigKind::WinnerOnly),
         states(4),
         200,
-        trace,
+        opts,
     )
-    .expect("wedged run still reports");
+    .expect("wedged run still reports")
+    .trace
+    .expect("traced");
     let dump = out
         .flight_dump
         .expect("watchdog trip produced an automatic dump");

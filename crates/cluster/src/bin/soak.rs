@@ -51,7 +51,7 @@ fn run(args: SoakArgs) -> Result<bool, String> {
     let config = args.config.clone();
     let repro = cli::repro_command(&config);
     eprintln!(
-        "soak: seed={:#x} scenario={} nodes={} shards={} slots={} ticks={} faults={} threads={}",
+        "soak: seed={:#x} scenario={} nodes={} shards={} slots={} ticks={} faults={}",
         config.seed,
         config.scenario,
         config.nodes,
@@ -59,7 +59,6 @@ fn run(args: SoakArgs) -> Result<bool, String> {
         config.slots,
         config.ticks,
         config.faults,
-        config.threads,
     );
 
     let mut sim =

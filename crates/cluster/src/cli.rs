@@ -34,7 +34,7 @@ fn default_config() -> Result<ClusterConfig, String> {
 
 /// Parses `soak` arguments (everything after `--`). Flags:
 /// `--seed N --scenario S --nodes N --shards K --slots M --ticks T
-///  --threads H --faults off|light|chaos --sabotage kind@node:tick
+///  --faults off|light|chaos --sabotage kind@node:tick
 ///  --bench PATH --dump PATH --budget-ms MS --record-winners`.
 /// Unknown flags are errors so a mistyped repro fails loudly.
 pub fn parse_args(args: &[String]) -> Result<SoakArgs, String> {
@@ -61,7 +61,6 @@ pub fn parse_args(args: &[String]) -> Result<SoakArgs, String> {
             "--shards" => config.shards = parse_u64(&value(&mut i, flag)?, flag)? as usize,
             "--slots" => config.slots = parse_u64(&value(&mut i, flag)?, flag)? as usize,
             "--ticks" => config.ticks = parse_u64(&value(&mut i, flag)?, flag)?,
-            "--threads" => config.threads = parse_u64(&value(&mut i, flag)?, flag)? as usize,
             "--faults" => config.faults = FaultProfile::parse(&value(&mut i, flag)?)?,
             "--sabotage" => config.sabotage = Some(Sabotage::parse(&value(&mut i, flag)?)?),
             "--bench" => bench_path = Some(value(&mut i, flag)?),
@@ -112,7 +111,7 @@ fn parse_u64(v: &str, flag: &str) -> Result<u64, String> {
 
 /// Renders the one-line command that replays `config` bit-identically.
 /// Everything the outcome is a pure function of is on the line; wall-only
-/// knobs (threads, budget) are deliberately absent.
+/// knobs (the wall budget) are deliberately absent.
 pub fn repro_command(config: &ClusterConfig) -> String {
     let mut cmd = format!(
         "cargo run --release -p ss-cluster --bin soak -- --seed {:#x} --scenario {} \

@@ -25,9 +25,9 @@
 //!
 //! Every run is a pure function of `(seed, scenario)`: replays are
 //! bit-identical — same winner sequence, same loss-ledger partition, same
-//! fingerprint — including across `--threads` settings, because nodes are
-//! stepped independently within a tick and all cross-node coupling
-//! happens in a sequential post-barrier phase in node order.
+//! fingerprint — because nodes are stepped independently within a tick
+//! and all cross-node coupling happens in a sequential post-barrier phase
+//! in node order.
 //!
 //! # Feature hygiene
 //!

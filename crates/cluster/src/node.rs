@@ -2,8 +2,8 @@
 //! fault stream, stepped on the cluster's virtual clock.
 //!
 //! A [`SimNode`] owns everything whose state a tick can touch, so nodes
-//! are independent within a tick and the simulation may step them on any
-//! number of threads without changing a single bit of the outcome:
+//! are independent within a tick and the simulation may step them in any
+//! order without changing a single bit of the outcome:
 //! arrival sampling is keyed by `(seed, node, tick)`, the fault stream is
 //! per-node, and all cross-node coupling (the shared egress linecard, the
 //! invariant engine, flight recording) happens in the sequential

@@ -22,10 +22,10 @@
 //!
 //! Arrival sampling is a pure function of `(seed, node, tick, slot
 //! table)`: each `(node, tick)` pair gets its own keyed SplitMix64 stream,
-//! so nodes can be stepped in any order — or on any number of threads —
-//! and the drawn counts are bit-identical. Intensities are integer
-//! per-mille (1000 = one expected arrival per node per tick); fractional
-//! expectations resolve by one Bernoulli draw per slot.
+//! so nodes can be stepped in any order and the drawn counts are
+//! bit-identical. Intensities are integer per-mille (1000 = one expected
+//! arrival per node per tick); fractional expectations resolve by one
+//! Bernoulli draw per slot.
 
 use serde::{Deserialize, Serialize};
 use ss_faults::rng::{mix, SplitMix64};

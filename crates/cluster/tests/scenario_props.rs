@@ -1,9 +1,8 @@
 //! Property tests: scenario generators respect their configured aggregate
-//! rates and class mixes for any spec, and full cluster runs replay
-//! bit-identically across thread counts for any (seed, scenario).
+//! rates and class mixes for any spec.
 
 use proptest::prelude::*;
-use ss_cluster::{ClusterConfig, ClusterSim, FaultProfile, Scenario, ScenarioSpec};
+use ss_cluster::{Scenario, ScenarioSpec};
 
 fn arb_spec() -> impl Strategy<Value = ScenarioSpec> {
     (0u8..5, 200u32..3000, 1u32..3, 64u64..512, 0u32..900).prop_map(
@@ -103,27 +102,5 @@ proptest! {
             }
         }
         prop_assert_eq!(forward, backward);
-    }
-}
-
-proptest! {
-    // Full cluster runs are expensive; fewer, stronger cases.
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// For any (seed, scenario), the cluster fingerprint — winners, ledger
-    /// partition, egress — is identical at 1 and 4 threads.
-    #[test]
-    fn replay_is_thread_count_invariant(spec in arb_spec(), seed in any::<u64>()) {
-        let run = |threads: usize| {
-            let mut config = ClusterConfig::new(seed, spec, 5, 2, 8);
-            config.ticks = 600;
-            config.faults = FaultProfile::Chaos;
-            config.threads = threads;
-            let mut sim = ClusterSim::new(config).expect("builds");
-            let report = sim.run();
-            (report.fingerprint, report.node_fingerprints.clone(),
-             (report.ledger.admission, report.ledger.ring, report.ledger.shed, report.ledger.shard))
-        };
-        prop_assert_eq!(run(1), run(4));
     }
 }

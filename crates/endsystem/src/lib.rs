@@ -30,7 +30,8 @@
 //!   paper measured as the PCI bottleneck.
 //! * [`pipeline`] — the deterministic virtual-time pipeline that produces
 //!   Figures 8, 9, 10 and the §5.2 endsystem throughput numbers.
-//! * [`threaded`] — a real multi-threaded pipeline over the SPSC rings
+//! * [`threaded`] — the multi-threaded pipeline over the SPSC rings, one
+//!   driver with an optional gate, fault injector and lifecycle spans
 //!   (used by the `host_router` example and throughput benches).
 //! * [`affinity`] — best-effort CPU pinning for shard/pipeline worker
 //!   threads (raw `sched_setaffinity`; no-op off x86_64 Linux).
@@ -40,7 +41,6 @@
 pub mod affinity;
 pub mod aggregation;
 pub mod faults;
-#[cfg(feature = "overload")]
 pub mod overload;
 pub mod pci;
 pub mod pipeline;
@@ -55,7 +55,6 @@ pub mod transmission;
 pub use affinity::pin_current_thread;
 pub use aggregation::{StreamletMux, StreamletSetConfig};
 pub use faults::EndsystemFaults;
-#[cfg(feature = "overload")]
 pub use overload::{GateConfig, GateReason, GateVerdict, OverloadGate};
 pub use pci::{CardLink, PciModel, TransferStrategy};
 pub use pipeline::{EndsystemConfig, EndsystemPipeline, EndsystemReport, StreamPipelineStats};
@@ -64,11 +63,7 @@ pub use red::{early_drop_probability, RedConfig, RedQueue, RedVerdict};
 pub use spsc::{spsc_ring, Consumer, Producer, RingStats};
 pub use sram::{BankOwner, BankedSram};
 pub use streaming::{StreamingReport, StreamingUnit};
-#[cfg(feature = "faults")]
-pub use threaded::run_threaded_faulted;
 #[cfg(feature = "telemetry")]
-pub use threaded::{run_threaded_instrumented, run_threaded_traced, TraceConfig, TracedReport};
-pub use threaded::{run_threaded, run_threaded_edf, ThreadedReport};
-#[cfg(feature = "overload")]
-pub use threaded::{run_threaded_overload, OverloadRunReport};
+pub use threaded::TraceArtifacts;
+pub use threaded::{run_threaded, run_threaded_edf, GateCounters, ThreadedOptions, ThreadedReport};
 pub use transmission::TransmissionEngine;

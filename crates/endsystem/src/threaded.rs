@@ -1,27 +1,31 @@
-//! A real multi-threaded endsystem pipeline over the SPSC rings.
+//! The multi-threaded endsystem pipeline over the SPSC rings.
 //!
 //! Three threads mirror the paper's concurrency design (§4.2, "concurrency
-//! between packet queuing, scheduling and transmission"):
+//! between packet queuing, scheduling and transmission"): a **producer**
+//! pushes arrivals into an SPSC ring, a **scheduler** drains it into the
+//! fabric and pushes each decision's winners into a second SPSC ring, and
+//! a **transmitter** consumes them and accounts per-stream service.
 //!
-//! * **producer** — generates arrivals and pushes them into an SPSC ring
-//!   (the per-stream circular queues);
-//! * **scheduler** — drains the arrival ring into the fabric simulation,
-//!   runs decision cycles, and pushes winning stream IDs into a second
-//!   SPSC ring;
-//! * **transmitter** — consumes stream IDs and accounts per-stream service.
-//!
-//! No locks anywhere on the data path — only the two rings. This is the
-//! engine behind the `host_router` example and the threaded-throughput
-//! bench; [`run_threaded`] returns per-stream counts and the measured
-//! end-to-end rate.
+//! No locks anywhere on the data path — only the two rings. [`run_threaded`]
+//! is the one driver; its [`ThreadedOptions`] engage, independently and at
+//! run time, an overload gate (which also paces the producer), a fault
+//! injector, lifecycle spans and registry telemetry. Loss is classified by
+//! site and conserved exactly: `total + lost` equals the offered load.
 
 use crate::faults::EndsystemFaults;
-use crate::spsc::{spsc_ring, RingStats};
-use ss_core::{DecisionWatchdog, Fabric, FabricConfig, WatchdogVerdict};
-use ss_core::{LatePolicy, StreamState};
-use ss_overload::{LossLedger, LossSite};
+use crate::overload::{GateConfig, GateVerdict, OverloadGate};
+use crate::spsc::{spsc_ring, Consumer, Producer, RingStats};
+use ss_core::{DecisionWatchdog, Fabric, FabricConfig, LatePolicy, StreamState, WatchdogVerdict};
+use ss_overload::{LossLedger, LossSite, SharedPressure};
 use ss_types::{Error, Result, Wrap16};
 use std::time::Instant;
+
+#[cfg(feature = "telemetry")]
+use ss_telemetry::span::detail::{self, DECISION_BATCHED, DECISION_SCALAR, SHED_SHARD};
+#[cfg(feature = "telemetry")]
+use ss_telemetry::{SharedFlightRecorder, SpanRecorder, Stage, TraceTag};
+#[cfg(feature = "faults")]
+use std::sync::Arc;
 
 /// An arrival message on the producer → scheduler ring.
 #[derive(Debug, Clone, Copy)]
@@ -30,6 +34,36 @@ pub struct ArrivalMsg {
     pub slot: usize,
     /// 16-bit arrival tag.
     pub tag: Wrap16,
+    /// The packet's lifecycle trace tag (read on a traced run only).
+    pub trace: TraceWord,
+}
+
+/// A lifecycle trace tag on the rings: zero-sized without `telemetry`.
+#[cfg(feature = "telemetry")]
+pub type TraceWord = u64;
+/// A lifecycle trace tag on the rings (zero-sized without `telemetry`).
+#[cfg(not(feature = "telemetry"))]
+pub type TraceWord = ();
+
+/// What a threaded run engages beyond the plain pipeline (default: none).
+#[derive(Clone, Default)]
+#[non_exhaustive]
+pub struct ThreadedOptions {
+    /// Overload gate in front of the fabric, on the scheduler thread; the
+    /// producer holds back on its published pressure.
+    pub gate: Option<GateConfig>,
+    /// Fault injector on the fabric and the producer's ring seam, credited
+    /// with every packet lost to a fault and every watchdog trip.
+    #[cfg(feature = "faults")]
+    pub faults: Option<(Arc<ss_faults::FaultInjector>, ss_faults::RetryPolicy)>,
+    /// Lifecycle spans: `(span_capacity, flight_capacity)` events per
+    /// thread's track and in the always-on flight recorder.
+    #[cfg(feature = "telemetry")]
+    pub trace: Option<(usize, usize)>,
+    /// Registry the fabric publishes into, with its trace capacity; ring
+    /// and pipeline statistics (`ss_endsystem_*`) follow after the run.
+    #[cfg(feature = "telemetry")]
+    pub telemetry: Option<(ss_telemetry::Registry, usize)>,
 }
 
 /// Results of a threaded run.
@@ -43,391 +77,47 @@ pub struct ThreadedReport {
     pub wall_seconds: f64,
     /// End-to-end packets/second.
     pub pps: f64,
-    /// Producer → scheduler arrival-ring statistics (pushes, backpressure
-    /// rejections, occupancy high-water). Rejections here mean the producer
-    /// observed a full ring and had to retry — previously invisible.
+    /// Producer → scheduler arrival-ring statistics.
     pub arr_ring: RingStats,
     /// Scheduler → transmitter winner-ID-ring statistics.
     pub id_ring: RingStats,
-    /// Packets lost to faults: dropped at an overflowing arrival ring, or
-    /// abandoned when the scheduler's watchdog declared the fabric stuck.
-    /// Always 0 in a fault-free run — loss is bounded and *counted*, never
-    /// silent. Equals `loss.total()` exactly; kept as a scalar for
-    /// backward compatibility.
+    /// Packets lost: dropped at an overflowing arrival ring, refused by
+    /// the gate, or abandoned with a stuck fabric. Equals `loss.total()`.
     pub lost: u64,
-    /// The same loss, classified by the unique site that consumed each
-    /// packet (admission / ring / shed / shard). Earlier revisions folded
-    /// everything into the one scalar above, which made it impossible to
-    /// tell an overflowing ring from an abandoned backlog — and easy to
-    /// count a packet at two sites. The ledger partition is exact:
-    /// `loss.total() == lost`, asserted in tests.
+    /// The same loss, classified by the one site that consumed each packet.
     pub loss: LossLedger,
+    /// The gate's accounting, when a gate ran.
+    pub gate: Option<GateCounters>,
+    /// The lifecycle artifacts, when tracing ran.
+    #[cfg(feature = "telemetry")]
+    pub trace: Option<TraceArtifacts>,
+    /// Per-stream QoS, when the fabric published into a registry.
+    #[cfg(feature = "telemetry")]
+    pub qos: Option<ss_telemetry::QosSet>,
 }
 
-/// Runs the three-thread pipeline: `arrivals_per_slot` packets are pushed
-/// for each configured slot, scheduled by a fabric built from `config` and
-/// `states`, and drained by the transmitter.
-///
-/// # Panics
-/// Panics if `states.len() != config.slots`.
-pub fn run_threaded(
-    config: FabricConfig,
-    states: Vec<StreamState>,
-    arrivals_per_slot: u64,
-) -> Result<ThreadedReport> {
-    run_threaded_inner(
-        config,
-        states,
-        arrivals_per_slot,
-        EndsystemFaults::new(),
-        |_| {},
-    )
-    .map(|(report, _)| report)
-}
-
-/// Like [`run_threaded`], but wires both the fabric and the endsystem seams
-/// to a shared fault injector: decision cycles can wedge or crash, arrival
-/// enqueues can hit injected overflow bursts (dropped and counted, never
-/// spun on forever), and the scheduler's watchdog abandons the backlog —
-/// counted into [`ThreadedReport::lost`] and the injector's
-/// `lost_packets` — if the fabric stays stuck past its threshold.
-#[cfg(feature = "faults")]
-pub fn run_threaded_faulted(
-    config: FabricConfig,
-    states: Vec<StreamState>,
-    arrivals_per_slot: u64,
-    injector: std::sync::Arc<ss_faults::FaultInjector>,
-    policy: ss_faults::RetryPolicy,
-) -> Result<ThreadedReport> {
-    let mut faults = EndsystemFaults::new();
-    faults.attach(injector.clone(), policy);
-    run_threaded_inner(config, states, arrivals_per_slot, faults, move |f| {
-        f.attach_faults(injector)
-    })
-    .map(|(report, _)| report)
-}
-
-/// Like [`run_threaded`], but attaches the fabric to a telemetry registry
-/// (shard 0) before the pipeline starts and returns the per-stream QoS
-/// report alongside the throughput report. Ring and pipeline statistics
-/// are published into the registry (`ss_endsystem_*`) after the run.
-#[cfg(feature = "telemetry")]
-pub fn run_threaded_instrumented(
-    config: FabricConfig,
-    states: Vec<StreamState>,
-    arrivals_per_slot: u64,
-    registry: &ss_telemetry::Registry,
-    trace_capacity: usize,
-) -> Result<(ThreadedReport, ss_telemetry::QosSet)> {
-    let reg = registry.clone();
-    let (report, mut fabric) = run_threaded_inner(
-        config,
-        states,
-        arrivals_per_slot,
-        EndsystemFaults::new(),
-        move |f| f.attach_telemetry(&reg, 0, trace_capacity),
-    )?;
-    // The fabric batches its observations locally; drain them so the
-    // registry is complete before this function's snapshot-style returns.
-    fabric.flush_telemetry();
-    publish_ring_stats(registry, "arrivals", &report.arr_ring);
-    publish_ring_stats(registry, "ids", &report.id_ring);
-    registry
-        .counter(
-            "ss_endsystem_packets_total",
-            "Packets through the threaded pipeline",
-        )
-        .add(report.total);
-    registry
-        .gauge(
-            "ss_endsystem_pps",
-            "End-to-end packets per second of the last threaded run",
-        )
-        .set(report.pps as i64);
-    Ok((report, fabric.qos_snapshot()))
-}
-
-#[cfg(feature = "telemetry")]
-fn publish_ring_stats(registry: &ss_telemetry::Registry, ring: &str, stats: &RingStats) {
-    let labels: &[(&str, &str)] = &[("ring", ring)];
-    registry
-        .counter_labeled(
-            "ss_endsystem_ring_pushes_total",
-            labels,
-            "Successful SPSC ring enqueues",
-        )
-        .add(stats.pushes);
-    registry
-        .counter_labeled(
-            "ss_endsystem_ring_rejections_total",
-            labels,
-            "SPSC ring enqueues rejected by a full ring (backpressure)",
-        )
-        .add(stats.rejections);
-    registry
-        .gauge_labeled(
-            "ss_endsystem_ring_high_water",
-            labels,
-            "Producer-observed SPSC ring occupancy high-water mark",
-        )
-        .fetch_max(stats.high_water as i64);
-}
-
-/// Results of an overload-gated threaded run: the plain report plus the
-/// gate's accounting.
-#[cfg(feature = "overload")]
-#[derive(Debug, Clone)]
-pub struct OverloadRunReport {
-    /// The underlying pipeline report. `report.loss` merges the ring/shard
-    /// sites from the pipeline with the gate's admission/shed sites; the
-    /// partition stays exact: `report.lost == report.loss.total()` and
-    /// `report.total + report.lost == offered`.
-    pub report: ThreadedReport,
+/// A gated run's gate accounting (its refusals are in the report's loss).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GateCounters {
     /// Arrivals offered to the gate by the scheduler thread.
     pub offered: u64,
     /// Arrivals the gate admitted into the fabric.
     pub admitted: u64,
     /// RED drop proposals vetoed for protected streams.
     pub vetoes: u64,
-    /// Pressure-level transitions over the run (hysteresis audit: bounded
-    /// even under oscillating load).
+    /// Pressure-level transitions over the run.
     pub pressure_transitions: u64,
-    /// Producer pacing pauses taken in response to published backpressure.
+    /// Producer pacing pauses taken in response to published pressure.
     pub holdbacks: u64,
 }
 
-/// Like [`run_threaded`], but with the overload control plane engaged end
-/// to end: the scheduler thread runs every drained arrival through an
-/// [`crate::overload::OverloadGate`] (token-bucket admission squeezed by
-/// pressure, RED + QoS-aware shedding), publishes the hysteresis pressure
-/// level through the gate's [`ss_overload::SharedPressure`], and the
-/// producer thread throttles its ingest on that signal (the hierarchical
-/// backpressure path: fabric backlog → pressure level → Stream-processor
-/// pacing). Loss is classified by site and conserved exactly.
-#[cfg(feature = "overload")]
-pub fn run_threaded_overload(
-    config: FabricConfig,
-    states: Vec<StreamState>,
-    arrivals_per_slot: u64,
-    gate_config: crate::overload::GateConfig,
-) -> Result<OverloadRunReport> {
-    use crate::overload::{GateVerdict, OverloadGate};
-
-    assert_eq!(states.len(), config.slots, "one StreamState per slot");
-    let slots = config.slots;
-    let mut fabric = Fabric::new(config)?;
-    for (i, st) in states.into_iter().enumerate() {
-        let period = st.request_period;
-        fabric.load_stream(i, st, period)?;
-    }
-    let mut gate = OverloadGate::new(gate_config);
-    let shared = gate.shared_pressure();
-
-    let (mut arr_tx, mut arr_rx) = spsc_ring::<ArrivalMsg>(4096);
-    let (mut id_tx, mut id_rx) = spsc_ring::<u8>(4096);
-
-    let start = Instant::now();
-
-    let producer = std::thread::spawn(move || {
-        let mut holdbacks = 0u64;
-        let mut seq = 0u64;
-        for q in 0..arrivals_per_slot {
-            for slot in 0..slots {
-                // Hierarchical backpressure: the published pressure level
-                // asks this thread to hold back 0, 1 or 3 of every 4
-                // arrivals' worth of pacing. A holdback is a bounded yield,
-                // not a drop — ingest slows, nothing is lost here.
-                let hb = ss_overload::SharedPressure::holdback_per_4(shared.level()) as u64;
-                if hb > 0 && seq % 4 < hb {
-                    holdbacks += 1;
-                    std::thread::yield_now();
-                }
-                seq += 1;
-                let mut msg = ArrivalMsg {
-                    slot,
-                    tag: Wrap16::from_wide(q),
-                };
-                loop {
-                    match arr_tx.push(msg) {
-                        Ok(()) => break,
-                        Err(back) => {
-                            msg = back;
-                            std::hint::spin_loop();
-                        }
-                    }
-                }
-            }
-        }
-        holdbacks
-    });
-
-    let ring_capacity = 4096usize;
-    let scheduler = std::thread::spawn(move || {
-        let mut pending = 0u64;
-        let mut loss = LossLedger::new();
-        let mut watchdog = DecisionWatchdog::new(SCHEDULER_STALL_THRESHOLD, 1);
-        let mut arr_batch: Vec<(usize, Wrap16)> = Vec::with_capacity(4096);
-        loop {
-            arr_batch.clear();
-            while arr_batch.len() < arr_batch.capacity() {
-                match arr_rx.pop() {
-                    Some(msg) if msg.slot < slots => match gate.offer(msg.slot) {
-                        GateVerdict::Admit => arr_batch.push((msg.slot, msg.tag)),
-                        // Refusals are already in the gate's ledger.
-                        GateVerdict::RejectAdmission | GateVerdict::Shed => {}
-                    },
-                    Some(_) => loss.record(LossSite::Ring),
-                    None => break,
-                }
-            }
-            match fabric.push_arrivals(&arr_batch) {
-                Ok(()) => pending += arr_batch.len() as u64,
-                Err(_) => loss.record_n(LossSite::Ring, arr_batch.len() as u64),
-            }
-            // One control tick per scheduler sweep: ring occupancy plus the
-            // fabric backlog against their combined budget drives the
-            // pressure signal (and through it admission refill and the
-            // producer's pacing).
-            let occupied = arr_rx.len() + pending.min(ring_capacity as u64) as usize;
-            gate.tick(occupied, 2 * ring_capacity);
-            if pending == 0 {
-                if arr_rx.is_disconnected() && arr_rx.is_empty() {
-                    break;
-                }
-                std::hint::spin_loop();
-                continue;
-            }
-            let packets = fabric.decision_cycle_into();
-            let produced = packets.len() as u64;
-            pending -= produced;
-            for p in packets {
-                gate.served(p.slot.index());
-                let mut id = p.slot.raw();
-                loop {
-                    match id_tx.push(id) {
-                        Ok(()) => break,
-                        Err(back) => {
-                            id = back;
-                            std::hint::spin_loop();
-                        }
-                    }
-                }
-            }
-            if watchdog.observe(produced > 0, pending > 0) == WatchdogVerdict::Stuck {
-                loss.record_n(LossSite::Shard, pending);
-                loop {
-                    match arr_rx.pop() {
-                        Some(_) => loss.record(LossSite::Shard),
-                        None => {
-                            if arr_rx.is_disconnected() {
-                                break;
-                            }
-                            std::hint::spin_loop();
-                        }
-                    }
-                }
-                break;
-            }
-        }
-        (arr_rx.stats(), gate, loss)
-    });
-
-    let mut per_slot = vec![0u64; slots];
-    let expected = arrivals_per_slot * slots as u64;
-    let mut got = 0u64;
-    while got < expected {
-        match id_rx.pop() {
-            Some(id) => {
-                per_slot[id as usize] += 1;
-                got += 1;
-            }
-            None => {
-                if id_rx.is_disconnected() && id_rx.is_empty() {
-                    break;
-                }
-                std::hint::spin_loop();
-            }
-        }
-    }
-
-    let holdbacks = producer.join().map_err(|_| Error::DegradedMode {
-        reason: "endsystem producer thread panicked".into(),
-    })?;
-    let (arr_ring, gate, mut loss) = scheduler.join().map_err(|_| Error::DegradedMode {
-        reason: "endsystem scheduler thread panicked".into(),
-    })?;
-    let id_ring = id_rx.stats();
-
-    loss.merge(gate.ledger());
-    let wall_seconds = start.elapsed().as_secs_f64();
-    let total: u64 = per_slot.iter().sum();
-    Ok(OverloadRunReport {
-        report: ThreadedReport {
-            per_slot,
-            total,
-            wall_seconds,
-            pps: total as f64 / wall_seconds,
-            arr_ring,
-            id_ring,
-            lost: loss.total(),
-            loss,
-        },
-        offered: gate.offered(),
-        admitted: gate.admitted(),
-        vetoes: gate.vetoes(),
-        pressure_transitions: gate.pressure_transitions(),
-        holdbacks,
-    })
-}
-
-/// Tracing knobs for [`run_threaded_traced`].
+/// The lifecycle artifacts of a traced run.
 #[cfg(feature = "telemetry")]
-#[derive(Clone)]
-pub struct TraceConfig {
-    /// Capacity (events) of each per-thread span track.
-    pub span_capacity: usize,
-    /// Capacity (events) of the always-on flight recorder.
-    pub flight_capacity: usize,
-    /// Overload gate in front of the fabric (runs on the scheduler
-    /// thread), if any.
-    #[cfg(feature = "overload")]
-    pub gate: Option<crate::overload::GateConfig>,
-    /// Fault injector wired into the fabric and the producer's ring
-    /// seam, if any — the chaos half of a traced chaos soak.
-    #[cfg(feature = "faults")]
-    pub faults: Option<(
-        std::sync::Arc<ss_faults::FaultInjector>,
-        ss_faults::RetryPolicy,
-    )>,
-}
-
-#[cfg(feature = "telemetry")]
-impl TraceConfig {
-    /// Tracing with the given capacities and no gate or faults.
-    pub fn new(span_capacity: usize, flight_capacity: usize) -> Self {
-        Self {
-            span_capacity,
-            flight_capacity,
-            #[cfg(feature = "overload")]
-            gate: None,
-            #[cfg(feature = "faults")]
-            faults: None,
-        }
-    }
-}
-
-/// Results of a traced threaded run: the plain report plus the lifecycle
-/// artifacts (span tracks, flight dump).
-#[cfg(feature = "telemetry")]
-#[derive(Debug)]
-pub struct TracedReport {
-    /// The underlying pipeline report.
-    pub report: ThreadedReport,
-    /// Drained span tracks (producer, scheduler, transmitter), ready for
-    /// [`ss_telemetry::stitch`] / [`ss_telemetry::perfetto_json`].
+#[derive(Debug, Clone)]
+pub struct TraceArtifacts {
+    /// Drained span tracks: producer, scheduler, transmitter.
     pub tracks: Vec<ss_telemetry::TrackDump>,
-    /// The automatic flight-recorder dump taken when the scheduler's
-    /// watchdog tripped; `None` in a healthy run.
+    /// The automatic flight dump of a watchdog trip; `None` when healthy.
     pub flight_dump: Option<ss_telemetry::FlightDump>,
     /// Watchdog trips observed by the scheduler thread.
     pub watchdog_trips: u64,
@@ -435,598 +125,527 @@ pub struct TracedReport {
     pub ticks_per_us: f64,
 }
 
-/// An arrival on the traced producer → scheduler ring: the plain message
-/// plus the full 8-byte trace tag (the untraced rings stay unwidened —
-/// this runner has its own ring type).
-#[cfg(feature = "telemetry")]
-#[derive(Debug, Clone, Copy)]
-struct TracedArrival {
-    slot: usize,
-    tag16: Wrap16,
-    trace: u64,
-}
+/// A winner on the scheduler → transmitter ring: slot and trace tag.
+type Winner = (u8, TraceWord);
 
-/// Like [`run_threaded`], but with per-packet lifecycle tracing on: the
-/// producer mints an 8-byte trace tag per arrival and each thread records
-/// its stage crossings (admission, SPSC enqueue/dequeue, gate verdict,
-/// fabric arrival, decision win, service, shed) into a per-thread span
-/// track, while a shared flight recorder keeps the most recent events and
-/// dumps automatically when the scheduler's watchdog trips. With the
-/// `overload`/`faults` features the [`TraceConfig`] can also engage the
-/// gate and a fault injector, so a chaos soak leaves a causally-ordered
-/// post-mortem artifact instead of just pass/fail.
-#[cfg(feature = "telemetry")]
-pub fn run_threaded_traced(
+/// Capacity of each SPSC ring, and of the scheduler's drain batch.
+const RING_CAPACITY: usize = 4096;
+
+/// Unproductive-with-backlog decision cycles before the fabric is declared
+/// stuck: well above a transient injected wedge (8 cycles by default).
+const SCHEDULER_STALL_THRESHOLD: u32 = 64;
+
+/// Runs the three-thread pipeline: `arrivals_per_slot` packets per slot
+/// are scheduled by a fabric built from `config` and `states`, and drained
+/// by the transmitter on the calling thread.
+///
+/// # Panics
+/// Panics if `states.len() != config.slots`.
+pub fn run_threaded(
     config: FabricConfig,
     states: Vec<StreamState>,
     arrivals_per_slot: u64,
-    trace: TraceConfig,
-) -> Result<TracedReport> {
-    use ss_telemetry::span::detail;
-    use ss_telemetry::{clock, DumpReason, SharedFlightRecorder, SpanRecorder, Stage, StageEvent, TraceTag};
-    use std::collections::VecDeque;
-
+    opts: ThreadedOptions,
+) -> Result<ThreadedReport> {
     assert_eq!(states.len(), config.slots, "one StreamState per slot");
     let slots = config.slots;
+    let drop_late = states.iter().any(|s| s.late_policy == LatePolicy::Drop);
     let mut fabric = Fabric::new(config)?;
     for (i, st) in states.into_iter().enumerate() {
         let period = st.request_period;
         fabric.load_stream(i, st, period)?;
     }
-
     #[cfg_attr(not(feature = "faults"), allow(unused_mut))]
-    let mut es_faults = EndsystemFaults::new();
+    let mut faults = EndsystemFaults::new();
     #[cfg(feature = "faults")]
-    if let Some((inj, pol)) = &trace.faults {
-        es_faults.attach(inj.clone(), *pol);
+    if let Some((inj, policy)) = &opts.faults {
+        faults.attach(inj.clone(), *policy);
         fabric.attach_faults(inj.clone());
     }
-    #[cfg(feature = "overload")]
-    let mut gate = trace.gate.clone().map(crate::overload::OverloadGate::new);
+    #[cfg(feature = "telemetry")]
+    if let Some((registry, capacity)) = &opts.telemetry {
+        fabric.attach_telemetry(registry, 0, *capacity);
+    }
+    let gate = opts.gate.map(OverloadGate::new);
+    let pressure = gate.as_ref().map(OverloadGate::shared_pressure);
+    #[cfg(feature = "telemetry")]
+    let recorders = opts
+        .trace
+        .map(|(span, flight)| (SpanRecorder::new(span), SharedFlightRecorder::new(flight)));
+    #[cfg(feature = "telemetry")]
+    let mut prod_spans = Spans::mint(&recorders, "producer", 0);
+    let sched = Scheduler {
+        fabric,
+        gate,
+        dropped: drop_late.then(|| vec![0; slots]),
+        loss: LossLedger::new(),
+        watchdog: DecisionWatchdog::new(SCHEDULER_STALL_THRESHOLD, 1),
+        #[cfg(feature = "telemetry")]
+        spans: Spans::mint(&recorders, "scheduler", slots),
+    };
+    #[cfg(feature = "telemetry")]
+    let mut tx_spans = Spans::mint(&recorders, "transmitter", 0);
 
-    let spans = SpanRecorder::new(trace.span_capacity);
-    let flight = SharedFlightRecorder::new(trace.flight_capacity);
-
-    let (mut arr_tx, mut arr_rx) = spsc_ring::<TracedArrival>(4096);
-    let (mut id_tx, mut id_rx) = spsc_ring::<(u8, u64)>(4096);
-
+    let (mut arr_tx, arr_rx) = spsc_ring::<ArrivalMsg>(RING_CAPACITY);
+    let (id_tx, mut id_rx) = spsc_ring::<Winner>(RING_CAPACITY);
     let start = Instant::now();
 
-    let prod_spans = spans.clone();
-    let prod_faults = es_faults;
     let producer = std::thread::spawn(move || {
-        let mut track = prod_spans.track("producer");
         let mut loss = LossLedger::new();
+        let mut holdbacks = 0u64;
         for q in 0..arrivals_per_slot {
             for slot in 0..slots {
-                let tag = TraceTag::new(0, slot as u16, q as u32).0;
-                track.record(tag, 0, Stage::Admitted, 0, slot as u32);
-                let mut msg = TracedArrival {
-                    slot,
-                    tag16: Wrap16::from_wide(q),
-                    trace: tag,
-                };
+                if let Some(pressure) = &pressure {
+                    // Hierarchical backpressure: hold back 0, 1 or 3 of
+                    // every 4 arrivals per level — a yield, not a drop.
+                    let hb = SharedPressure::holdback_per_4(pressure.level()) as u64;
+                    if (q * slots as u64 + slot as u64) % 4 < hb {
+                        holdbacks += 1;
+                        std::thread::yield_now();
+                    }
+                }
+                let (tag, trace) = (Wrap16::from_wide(q), TraceWord::default());
+                let mut msg = ArrivalMsg { slot, tag, trace };
+                #[cfg(feature = "telemetry")]
+                prod_spans.admit(&mut msg, q);
+                // One fault sample per full-ring episode, not per spin.
                 let mut fresh_episode = true;
-                let mut pushed = true;
-                loop {
+                let pushed = loop {
+                    #[cfg(feature = "telemetry")]
+                    prod_spans.stamp();
                     match arr_tx.push(msg) {
-                        Ok(()) => break,
+                        Ok(()) => break true,
+                        // Injected overflow burst on a full ring: drop the
+                        // packet instead of spinning against the spike.
+                        Err(_) if fresh_episode && faults.ring_overflows() => break false,
                         Err(back) => {
-                            if fresh_episode && prod_faults.ring_overflows() {
-                                // Injected overflow burst: drop, account,
-                                // and leave a terminal Shed on the trace.
-                                loss.record(LossSite::Ring);
-                                track.record(tag, 0, Stage::Shed, detail::SHED_RING, slot as u32);
-                                pushed = false;
-                                break;
-                            }
                             fresh_episode = false;
                             msg = back;
                             std::hint::spin_loop();
                         }
                     }
+                };
+                if !pushed {
+                    loss.record(LossSite::Ring);
                 }
-                if pushed {
-                    track.record(tag, 0, Stage::RingEnqueue, 0, slot as u32);
-                }
+                #[cfg(feature = "telemetry")]
+                prod_spans.enqueued(msg.trace, slot, pushed);
             }
         }
-        loss
+        (loss, holdbacks) // dropping arr_tx disconnects the ring
     });
 
-    let sched_spans = spans.clone();
-    let sched_flight = flight.clone();
-    let scheduler = std::thread::spawn(move || {
-        let mut track = sched_spans.track("scheduler");
-        let sched_track = track.id();
-        let mut pending = 0u64;
-        let mut loss = LossLedger::new();
-        let mut watchdog = DecisionWatchdog::new(SCHEDULER_STALL_THRESHOLD, 1);
-        let mut arr_batch: Vec<(usize, Wrap16)> = Vec::with_capacity(4096);
-        let mut batch_tags: Vec<u64> = Vec::with_capacity(4096);
-        let mut win_buf = Vec::with_capacity(4096);
-        // Admitted-but-unserved trace tags, FIFO per slot: the fabric
-        // serves each slot's queue in arrival order, so the front of a
-        // slot's queue is exactly the packet its next win (or expiry)
-        // consumes — this is how wins map back to tags without widening
-        // the fabric's wire types.
-        let mut admitted_tags: Vec<VecDeque<u64>> = vec![VecDeque::new(); slots];
-        // Per-slot fabric drop counters at the last sweep; a delta means
-        // `DropLate` expiries consumed head packets.
-        let mut seen_dropped: Vec<u64> = vec![0; slots];
-        let ring_capacity = 4096usize;
-        loop {
-            arr_batch.clear();
-            batch_tags.clear();
-            while arr_batch.len() < arr_batch.capacity() {
-                match arr_rx.pop() {
-                    Some(msg) if msg.slot < slots => {
-                        track.record(msg.trace, 0, Stage::RingDequeue, 0, msg.slot as u32);
-                        #[cfg(feature = "overload")]
-                        if let Some(g) = &mut gate {
-                            let (verdict, reason) = g.offer_traced(msg.slot);
-                            track.record(
-                                msg.trace,
-                                0,
-                                Stage::GateVerdict,
-                                reason.code(),
-                                msg.slot as u32,
-                            );
-                            match verdict {
-                                crate::overload::GateVerdict::Admit => {}
-                                crate::overload::GateVerdict::RejectAdmission
-                                | crate::overload::GateVerdict::Shed => {
-                                    // Refusals are in the gate's ledger.
-                                    track.record(
-                                        msg.trace,
-                                        0,
-                                        Stage::Shed,
-                                        reason.code(),
-                                        msg.slot as u32,
-                                    );
-                                    sched_flight.record(StageEvent {
-                                        tag: msg.trace,
-                                        tsc: clock::now_tsc(),
-                                        cycle: fabric.decision_count(),
-                                        track: sched_track,
-                                        stage: Stage::Shed,
-                                        detail: reason.code(),
-                                        arg: msg.slot as u32,
-                                    });
-                                    continue;
-                                }
-                            }
-                        }
-                        arr_batch.push((msg.slot, msg.tag16));
-                        batch_tags.push(msg.trace);
-                    }
-                    Some(msg) => {
-                        loss.record(LossSite::Ring);
-                        track.record(msg.trace, 0, Stage::Shed, detail::SHED_RING, 0);
-                    }
-                    None => break,
-                }
-            }
-            match fabric.push_arrivals(&arr_batch) {
-                Ok(()) => {
-                    pending += arr_batch.len() as u64;
-                    let cycle = fabric.decision_count();
-                    for (&(slot, _), &tag) in arr_batch.iter().zip(&batch_tags) {
-                        track.record(tag, cycle, Stage::FabricArrival, 0, slot as u32);
-                        admitted_tags[slot].push_back(tag);
-                    }
-                }
-                // Unreachable after validation; counted rather than panicked.
-                Err(_) => loss.record_n(LossSite::Ring, arr_batch.len() as u64),
-            }
-            #[cfg(feature = "overload")]
-            if let Some(g) = &mut gate {
-                let occupied = arr_rx.len() + pending.min(ring_capacity as u64) as usize;
-                g.tick(occupied, 2 * ring_capacity);
-            }
-            #[cfg(not(feature = "overload"))]
-            let _ = ring_capacity;
-            if pending == 0 {
-                if arr_rx.is_disconnected() && arr_rx.is_empty() {
-                    break;
-                }
-                std::hint::spin_loop();
-                continue;
-            }
-            let packets = fabric.decision_cycle_into();
-            let produced = packets.len() as u64;
-            pending -= produced;
-            win_buf.clear();
-            win_buf.extend(packets.iter().map(|p| p.slot));
-            let cycle = fabric.decision_count();
-            let arm = if fabric.is_batched() {
-                detail::DECISION_BATCHED
-            } else {
-                detail::DECISION_SCALAR
-            };
-            for p in &win_buf {
-                let slot = p.index();
-                let tag = admitted_tags[slot]
-                    .pop_front()
-                    .unwrap_or(ss_telemetry::TraceTag::CONTROL.0);
-                track.record(tag, cycle, Stage::DecisionWin, arm, slot as u32);
-                sched_flight.record(StageEvent {
-                    tag,
-                    tsc: clock::now_tsc(),
-                    cycle,
-                    track: sched_track,
-                    stage: Stage::DecisionWin,
-                    detail: arm,
-                    arg: slot as u32,
-                });
-                #[cfg(feature = "overload")]
-                if let Some(g) = &mut gate {
-                    g.served(slot);
-                }
-                let mut id = (p.raw(), tag);
-                loop {
-                    match id_tx.push(id) {
-                        Ok(()) => break,
-                        Err(back) => {
-                            id = back;
-                            std::hint::spin_loop();
-                        }
-                    }
-                }
-            }
-            // `DropLate` expiries consume head packets without a win:
-            // surface them as terminal Shed events so the tag queues stay
-            // aligned with the fabric's per-slot FIFOs.
-            for slot in 0..slots {
-                let dropped = fabric
-                    .slot_counters(slot)
-                    .map(|c| c.dropped)
-                    .unwrap_or(seen_dropped[slot]);
-                while seen_dropped[slot] < dropped {
-                    seen_dropped[slot] += 1;
-                    pending = pending.saturating_sub(1);
-                    if let Some(tag) = admitted_tags[slot].pop_front() {
-                        track.record(tag, cycle, Stage::Shed, detail::SHED_EXPIRED, slot as u32);
-                    }
-                }
-            }
-            if watchdog.observe(produced > 0, pending > 0) == WatchdogVerdict::Stuck {
-                // Stuck path: leave the trip on both recording surfaces,
-                // write the backlog off (counted), and take the automatic
-                // flight dump — the post-mortem artifact.
-                track.record(
-                    ss_telemetry::TraceTag::CONTROL.0,
-                    cycle,
-                    Stage::WatchdogTrip,
-                    0,
-                    watchdog.trips() as u32,
-                );
-                sched_flight.record_control(
-                    cycle,
-                    sched_track,
-                    Stage::WatchdogTrip,
-                    0,
-                    watchdog.trips() as u32,
-                );
-                loss.record_n(LossSite::Shard, pending);
-                for (slot, tags) in admitted_tags.iter_mut().enumerate() {
-                    while let Some(tag) = tags.pop_front() {
-                        track.record(tag, cycle, Stage::Shed, detail::SHED_SHARD, slot as u32);
-                    }
-                }
-                loop {
-                    match arr_rx.pop() {
-                        Some(msg) => {
-                            loss.record(LossSite::Shard);
-                            track.record(
-                                msg.trace,
-                                cycle,
-                                Stage::Shed,
-                                detail::SHED_SHARD,
-                                msg.slot as u32,
-                            );
-                        }
-                        None => {
-                            if arr_rx.is_disconnected() {
-                                break;
-                            }
-                            std::hint::spin_loop();
-                        }
-                    }
-                }
-                sched_flight.auto_dump(DumpReason::WatchdogTrip, cycle);
-                break;
-            }
-        }
-        #[cfg(feature = "overload")]
-        if let Some(g) = &gate {
-            loss.merge(g.ledger());
-        }
-        (arr_rx.stats(), loss, watchdog.trips())
-    });
+    let scheduler = std::thread::spawn(move || sched.run(arr_rx, id_tx));
 
-    // Transmitter runs on the calling thread, recording Service events.
-    let mut tx_track = spans.track("transmitter");
+    // The transmitter stops at the expected count or when the winner ring
+    // disconnects (a stuck fabric was abandoned), so loss never hangs it.
     let mut per_slot = vec![0u64; slots];
     let expected = arrivals_per_slot * slots as u64;
     let mut got = 0u64;
     while got < expected {
         match id_rx.pop() {
-            Some((id, tag)) => {
+            Some((id, _trace)) => {
                 per_slot[id as usize] += 1;
                 got += 1;
-                tx_track.record(tag, 0, Stage::Service, 0, id as u32);
+                #[cfg(feature = "telemetry")]
+                tx_spans.record(_trace, 0, Stage::Service, 0, id.into());
             }
-            None => {
-                if id_rx.is_disconnected() && id_rx.is_empty() {
-                    break;
-                }
-                std::hint::spin_loop();
-            }
+            None if id_rx.is_disconnected() && id_rx.is_empty() => break,
+            None => std::hint::spin_loop(),
         }
     }
-    drop(tx_track);
+    #[cfg(feature = "telemetry")]
+    drop(tx_spans); // flushes the track for the report to drain
 
-    let prod_loss = producer.join().map_err(|_| Error::DegradedMode {
-        reason: "endsystem producer thread panicked".into(),
-    })?;
-    let (arr_ring, sched_loss, watchdog_trips) =
-        scheduler.join().map_err(|_| Error::DegradedMode {
-            reason: "endsystem scheduler thread panicked".into(),
-        })?;
-    let id_ring = id_rx.stats();
-
+    let (mut loss, holdbacks) = joined(producer, "producer")?;
+    #[cfg_attr(not(feature = "telemetry"), allow(unused_mut))]
+    let (mut sched, arr_ring) = joined(scheduler, "scheduler")?;
     let wall_seconds = start.elapsed().as_secs_f64();
     let total: u64 = per_slot.iter().sum();
-    let mut loss = prod_loss;
-    loss.merge(&sched_loss);
-    Ok(TracedReport {
-        report: ThreadedReport {
-            per_slot,
-            total,
-            wall_seconds,
-            pps: total as f64 / wall_seconds,
-            arr_ring,
-            id_ring,
-            lost: loss.total(),
-            loss,
-        },
-        tracks: spans.drain(),
-        flight_dump: flight.take_last_dump(),
-        watchdog_trips,
-        ticks_per_us: clock::ticks_per_us(),
+    loss.merge(&sched.loss);
+    // All loss so far is to faults; the gate's refusals are merged below.
+    #[cfg(feature = "faults")]
+    if let Some((inj, _)) = &opts.faults {
+        use std::sync::atomic::Ordering;
+        let (stats, lost, trips) = (inj.stats(), loss.total(), sched.watchdog.trips());
+        stats.lost_packets.fetch_add(lost, Ordering::Relaxed);
+        stats.detected.fetch_add(trips, Ordering::Relaxed);
+    }
+    let gate = sched.gate.as_ref().map(|g| {
+        loss.merge(g.ledger());
+        GateCounters {
+            offered: g.offered(),
+            admitted: g.admitted(),
+            vetoes: g.vetoes(),
+            pressure_transitions: g.pressure_transitions(),
+            holdbacks,
+        }
+    });
+    let report = ThreadedReport {
+        per_slot,
+        total,
+        wall_seconds,
+        pps: total as f64 / wall_seconds,
+        arr_ring,
+        id_ring: id_rx.stats(),
+        lost: loss.total(),
+        loss,
+        gate,
+        #[cfg(feature = "telemetry")]
+        trace: recorders.map(|(spans, flight)| TraceArtifacts {
+            tracks: spans.drain(),
+            flight_dump: flight.take_last_dump(),
+            watchdog_trips: sched.watchdog.trips(),
+            ticks_per_us: ss_telemetry::clock::ticks_per_us(),
+        }),
+        // Drains the fabric's locally batched observations into the registry.
+        #[cfg(feature = "telemetry")]
+        qos: opts.telemetry.as_ref().map(|_| {
+            sched.fabric.flush_telemetry();
+            sched.fabric.qos_snapshot()
+        }),
+    };
+    #[cfg(feature = "telemetry")]
+    if let Some((registry, _)) = &opts.telemetry {
+        publish(registry, &report);
+    }
+    Ok(report)
+}
+
+/// Joins a pipeline thread, surfacing a panic as degraded mode.
+fn joined<T>(handle: std::thread::JoinHandle<T>, role: &str) -> Result<T> {
+    handle.join().map_err(|_| Error::DegradedMode {
+        reason: format!("endsystem {role} thread panicked"),
     })
 }
 
-/// How many consecutive unproductive-with-backlog decision cycles the
-/// scheduler thread tolerates before declaring the fabric stuck. Must
-/// comfortably exceed any transient injected wedge
-/// ([`ss_faults::FaultConfig::max_stuck_cycles`] defaults to 8) so only
-/// crashes and chained wedges trip it.
-const SCHEDULER_STALL_THRESHOLD: u32 = 64;
+/// The scheduler thread's state.
+struct Scheduler {
+    fabric: Fabric,
+    gate: Option<OverloadGate>,
+    /// Per-slot fabric drop counters at the last sweep, when some stream
+    /// drops late packets: a delta is expiries leaving the backlog.
+    dropped: Option<Vec<u64>>,
+    /// Ring- and shard-site loss; the gate's refusals are in its ledger.
+    loss: LossLedger,
+    watchdog: DecisionWatchdog,
+    #[cfg(feature = "telemetry")]
+    spans: Spans,
+}
 
-fn run_threaded_inner(
-    config: FabricConfig,
-    states: Vec<StreamState>,
-    arrivals_per_slot: u64,
-    faults: EndsystemFaults,
-    attach: impl FnOnce(&mut Fabric),
-) -> Result<(ThreadedReport, Fabric)> {
-    assert_eq!(states.len(), config.slots, "one StreamState per slot");
-    let slots = config.slots;
-    let mut fabric = Fabric::new(config)?;
-    for (i, st) in states.into_iter().enumerate() {
-        let period = st.request_period;
-        fabric.load_stream(i, st, period)?;
-    }
-    attach(&mut fabric);
-
-    let (mut arr_tx, mut arr_rx) = spsc_ring::<ArrivalMsg>(4096);
-    let (mut id_tx, mut id_rx) = spsc_ring::<u8>(4096);
-
-    let prod_faults = faults.clone();
-    #[cfg(feature = "faults")]
-    let sched_faults = faults;
-    #[cfg(not(feature = "faults"))]
-    let _ = faults; // zero-sized stand-in; only the producer's copy is used
-
-    let start = Instant::now();
-
-    let producer = std::thread::spawn(move || {
-        let mut loss = LossLedger::new();
-        for q in 0..arrivals_per_slot {
-            for slot in 0..slots {
-                let mut msg = ArrivalMsg {
-                    slot,
-                    tag: Wrap16::from_wide(q),
-                };
-                // One fault sample per full-ring episode (not per spin), so
-                // the injected-count stays proportional to real
-                // backpressure events rather than spin frequency.
-                let mut fresh_episode = true;
-                loop {
-                    match arr_tx.push(msg) {
-                        Ok(()) => break,
-                        Err(back) => {
-                            if fresh_episode && prod_faults.ring_overflows() {
-                                // Injected overflow burst on a full ring:
-                                // drop the packet and account it instead of
-                                // spinning against the pressure spike.
-                                loss.record(LossSite::Ring);
-                                #[cfg(feature = "faults")]
-                                if let Some(inj) = prod_faults.injector() {
-                                    inj.stats()
-                                        .lost_packets
-                                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                }
-                                break;
-                            }
-                            fresh_episode = false;
-                            msg = back;
-                            std::hint::spin_loop();
-                        }
-                    }
-                }
-            }
-        }
-        // Dropping arr_tx disconnects the ring: the scheduler sees
-        // empty + disconnected and finishes.
-        loss
-    });
-
-    let scheduler = std::thread::spawn(move || {
+impl Scheduler {
+    /// Runs until the producer disconnected and the backlog drained or was
+    /// abandoned; returns itself and the arrival ring's final statistics.
+    fn run(mut self, mut rx: Consumer<ArrivalMsg>, mut ids: Producer<Winner>) -> (Self, RingStats) {
+        let slots = self.fabric.config().slots;
         let mut pending = 0u64;
-        let mut loss = LossLedger::new();
-        let mut watchdog = DecisionWatchdog::new(SCHEDULER_STALL_THRESHOLD, 1);
-        // Reusable batch buffer: arrivals are drained from the ring in one
-        // sweep and deposited with `push_arrivals`, and the decision cycle
-        // runs through the zero-allocation `decision_cycle_into` view — the
-        // scheduler thread's steady-state loop never touches the heap.
-        let mut arr_batch: Vec<(usize, Wrap16)> = Vec::with_capacity(4096);
+        // Reusable batch buffers and `decision_cycle_into`: the
+        // steady-state loop never touches the heap.
+        let mut arr_batch: Vec<(usize, Wrap16)> = Vec::with_capacity(RING_CAPACITY);
+        #[cfg(feature = "telemetry")]
+        let mut batch_traces: Vec<u64> = Vec::with_capacity(RING_CAPACITY);
         loop {
-            // Drain arrivals into the fabric (one batched deposit). Slots
-            // are validated here — a corrupt message is counted as lost, so
-            // `push_arrivals` below cannot fail and nothing panics.
             arr_batch.clear();
+            #[cfg(feature = "telemetry")]
+            batch_traces.clear();
             while arr_batch.len() < arr_batch.capacity() {
-                match arr_rx.pop() {
-                    Some(msg) if msg.slot < slots => arr_batch.push((msg.slot, msg.tag)),
-                    // Corrupted in the ring: the ring consumed it.
-                    Some(_) => loss.record(LossSite::Ring),
-                    None => break,
+                let Some(msg) = rx.pop() else { break };
+                // Slots are validated here — a corrupt message is counted
+                // as lost, so `push_arrivals` below cannot fail.
+                if msg.slot >= slots {
+                    self.loss.record(LossSite::Ring);
+                    #[cfg(feature = "telemetry")]
+                    self.spans
+                        .record(msg.trace, 0, Stage::Shed, detail::SHED_RING, 0);
+                } else if self.admit(&msg) {
+                    arr_batch.push((msg.slot, msg.tag));
+                    #[cfg(feature = "telemetry")]
+                    batch_traces.push(msg.trace);
                 }
             }
-            match fabric.push_arrivals(&arr_batch) {
-                Ok(()) => pending += arr_batch.len() as u64,
+            match self.fabric.push_arrivals(&arr_batch) {
+                Ok(()) => {
+                    pending += arr_batch.len() as u64;
+                    #[cfg(feature = "telemetry")]
+                    self.spans
+                        .deposit(self.fabric.decision_count(), &arr_batch, &batch_traces);
+                }
                 // Unreachable after validation; counted rather than panicked.
-                Err(_) => loss.record_n(LossSite::Ring, arr_batch.len() as u64),
+                Err(_) => self.loss.record_n(LossSite::Ring, arr_batch.len() as u64),
+            }
+            if let Some(gate) = &mut self.gate {
+                // One control tick per sweep: ring occupancy plus fabric
+                // backlog drive the pressure signal.
+                let occupied = rx.len() + pending.min(RING_CAPACITY as u64) as usize;
+                gate.tick(occupied, 2 * RING_CAPACITY);
             }
             if pending == 0 {
-                if arr_rx.is_disconnected() && arr_rx.is_empty() {
+                if rx.is_disconnected() && rx.is_empty() {
                     break;
                 }
                 std::hint::spin_loop();
                 continue;
             }
-            let packets = fabric.decision_cycle_into();
-            let produced = packets.len() as u64;
+            let produced = self.fabric.decision_cycle_into().len() as u64;
             pending -= produced;
-            for p in packets {
-                let mut id = p.slot.raw();
-                loop {
-                    match id_tx.push(id) {
-                        Ok(()) => break,
-                        Err(back) => {
-                            id = back;
-                            std::hint::spin_loop();
-                        }
+            #[cfg(feature = "telemetry")]
+            let cycle = self.fabric.decision_count();
+            for p in self.fabric.last_block() {
+                let slot = p.slot.index();
+                let mut id: Winner = (p.slot.raw(), TraceWord::default());
+                #[cfg(feature = "telemetry")]
+                self.spans.win(&mut id, cycle, self.fabric.is_batched());
+                if let Some(gate) = &mut self.gate {
+                    gate.served(slot);
+                }
+                while let Err(back) = ids.push(id) {
+                    id = back;
+                    std::hint::spin_loop();
+                }
+            }
+            if let Some(seen_dropped) = &mut self.dropped {
+                for (slot, seen) in seen_dropped.iter_mut().enumerate() {
+                    let dropped = self.fabric.slot_counters(slot).map_or(*seen, |c| c.dropped);
+                    while *seen < dropped {
+                        *seen += 1;
+                        pending = pending.saturating_sub(1);
+                        #[cfg(feature = "telemetry")]
+                        self.spans.expire(slot, cycle);
                     }
                 }
             }
-            if watchdog.observe(produced > 0, pending > 0) == WatchdogVerdict::Stuck {
-                // The fabric stayed unproductive past the threshold — a
-                // crashed card or chained stuck windows, not a transient
-                // wedge. Abandon the backlog (counted, bounded) and drain
-                // the producer dry so it can never deadlock pushing into a
-                // full ring nobody reads. Everything written off here —
-                // the deposited backlog and the still-ringed arrivals —
-                // is lost to the dead scheduling path, not to the rings:
-                // one site per packet, no double count.
-                loss.record_n(LossSite::Shard, pending);
+            if self.watchdog.observe(produced > 0, pending > 0) == WatchdogVerdict::Stuck {
+                // A crashed card or chained wedges: write the backlog and
+                // the still-ringed arrivals off to the dead scheduling path
+                // (one site per packet), draining the producer dry.
+                #[cfg(feature = "telemetry")]
+                self.spans.trip(cycle, self.watchdog.trips());
+                self.loss.record_n(LossSite::Shard, pending);
                 loop {
-                    match arr_rx.pop() {
-                        Some(_) => loss.record(LossSite::Shard),
-                        None => {
-                            if arr_rx.is_disconnected() {
-                                break;
-                            }
-                            std::hint::spin_loop();
+                    match rx.pop() {
+                        Some(_msg) => {
+                            self.loss.record(LossSite::Shard);
+                            #[cfg(feature = "telemetry")]
+                            self.spans.msg(&_msg, cycle, Stage::Shed, SHED_SHARD);
                         }
+                        None if rx.is_disconnected() && rx.is_empty() => break,
+                        None => std::hint::spin_loop(),
                     }
-                }
-                #[cfg(feature = "faults")]
-                if let Some(inj) = sched_faults.injector() {
-                    use std::sync::atomic::Ordering;
-                    inj.stats().detected.fetch_add(1, Ordering::Relaxed);
-                    inj.stats()
-                        .lost_packets
-                        .fetch_add(loss.total(), Ordering::Relaxed);
                 }
                 break;
             }
         }
-        // The loop only exits once the producer disconnected, so its final
-        // ring stats are published and exact here.
-        (arr_rx.stats(), fabric, loss)
-    });
+        #[cfg(feature = "telemetry")]
+        drop(self.spans.on.take()); // flushes the track for the report
+        let arr_ring = rx.stats(); // final: the producer has disconnected
+        (self, arr_ring)
+    }
 
-    // Transmitter runs on the calling thread. It stops at the expected
-    // count or — if the scheduler abandoned a stuck fabric — when the
-    // winner ring disconnects, so loss upstream never hangs this loop.
-    let mut per_slot = vec![0u64; slots];
-    let expected = arrivals_per_slot * slots as u64;
-    let mut got = 0u64;
-    while got < expected {
-        match id_rx.pop() {
-            Some(id) => {
-                per_slot[id as usize] += 1;
-                got += 1;
-            }
-            None => {
-                if id_rx.is_disconnected() && id_rx.is_empty() {
-                    break;
-                }
-                std::hint::spin_loop();
+    /// Runs `msg` through the gate, if any: `false` means refused.
+    fn admit(&mut self, msg: &ArrivalMsg) -> bool {
+        #[cfg(feature = "telemetry")]
+        self.spans.msg(msg, 0, Stage::RingDequeue, 0);
+        let Some(gate) = &mut self.gate else {
+            return true;
+        };
+        let (verdict, _reason) = gate.offer_traced(msg.slot);
+        let admitted = verdict == GateVerdict::Admit;
+        #[cfg(feature = "telemetry")]
+        self.spans
+            .verdict(msg, admitted, _reason.code(), self.fabric.decision_count());
+        admitted
+    }
+}
+
+/// One pipeline thread's lifecycle-span hooks: its track and the shared
+/// flight recorder, or nothing on an untraced run.
+#[cfg(feature = "telemetry")]
+struct Spans {
+    on: Option<(ss_telemetry::TrackRecorder, SharedFlightRecorder)>,
+    /// Deposited-but-unserved tags, FIFO per slot: the fabric serves each
+    /// slot in order, so the front tag is the next win's (or expiry's).
+    admitted: Vec<std::collections::VecDeque<u64>>,
+    /// The producer's last push-attempt timestamp.
+    stamped: u64,
+}
+
+#[cfg(feature = "telemetry")]
+type Recorders = Option<(SpanRecorder, SharedFlightRecorder)>;
+
+#[cfg(feature = "telemetry")]
+impl Spans {
+    /// Mints the `name` track when the run is traced.
+    fn mint(recorders: &Recorders, name: &str, slots: usize) -> Self {
+        let on = recorders
+            .as_ref()
+            .map(|(spans, flight)| (spans.track(name), flight.clone()));
+        let admitted = vec![std::collections::VecDeque::new(); slots];
+        Self {
+            on,
+            admitted,
+            stamped: 0,
+        }
+    }
+
+    /// Records one stage crossing on this thread's track (`arg`: the slot).
+    fn record(&mut self, tag: u64, cycle: u64, stage: Stage, detail: u8, arg: usize) {
+        if let Some((track, _)) = &mut self.on {
+            track.record(tag, cycle, stage, detail, arg as u32);
+        }
+    }
+
+    /// Records one stage crossing of the packet `msg` carries.
+    fn msg(&mut self, msg: &ArrivalMsg, cycle: u64, stage: Stage, detail: u8) {
+        self.record(msg.trace, cycle, stage, detail, msg.slot);
+    }
+
+    /// Records one stage crossing on the track and in the flight recorder.
+    fn record_flight(&mut self, tag: u64, cycle: u64, stage: Stage, detail: u8, arg: usize) {
+        if let Some((track, flight)) = &mut self.on {
+            let arg = arg as u32;
+            track.record(tag, cycle, stage, detail, arg);
+            let (tsc, track) = (ss_telemetry::clock::now_tsc(), track.id());
+            flight.record(ss_telemetry::StageEvent {
+                tag,
+                tsc,
+                cycle,
+                track,
+                stage,
+                detail,
+                arg,
+            });
+        }
+    }
+
+    /// Mints `msg`'s trace tag (arrival `q` on its slot) and records its
+    /// admission.
+    fn admit(&mut self, msg: &mut ArrivalMsg, q: u64) {
+        msg.trace = TraceTag::new(0, msg.slot as u16, q as u32).0;
+        self.msg(msg, 0, Stage::Admitted, 0);
+    }
+
+    /// Stamps a push attempt. Taken before the push, the stamp can never
+    /// postdate the consumer's dequeue of the same packet.
+    fn stamp(&mut self) {
+        self.stamped = self.on.as_ref().map_or(0, |(track, _)| track.stamp());
+    }
+
+    /// Records the ring enqueue, or the terminal Shed of a burst drop, at
+    /// the last push attempt's stamp.
+    fn enqueued(&mut self, tag: u64, slot: usize, pushed: bool) {
+        let (stage, detail) = match pushed {
+            true => (Stage::RingEnqueue, 0),
+            false => (Stage::Shed, detail::SHED_RING),
+        };
+        if let Some((track, _)) = &mut self.on {
+            track.record_at(self.stamped, tag, 0, stage, detail, slot as u32);
+        }
+    }
+
+    /// Records the gate's verdict; a refusal also gets a terminal Shed.
+    fn verdict(&mut self, msg: &ArrivalMsg, admitted: bool, reason: u8, cycle: u64) {
+        self.msg(msg, 0, Stage::GateVerdict, reason);
+        if !admitted {
+            self.record_flight(msg.trace, cycle, Stage::Shed, reason, msg.slot);
+        }
+    }
+
+    /// Records the arrivals just deposited and queues their tags for wins.
+    fn deposit(&mut self, cycle: u64, batch: &[(usize, Wrap16)], traces: &[u64]) {
+        if self.on.is_some() {
+            for (&(slot, _), &tag) in batch.iter().zip(traces) {
+                self.record(tag, cycle, Stage::FabricArrival, 0, slot);
+                self.admitted[slot].push_back(tag);
             }
         }
     }
 
-    let prod_loss = producer.join().map_err(|_| Error::DegradedMode {
-        reason: "endsystem producer thread panicked".into(),
-    })?;
-    let (arr_ring, fabric, sched_loss) = scheduler.join().map_err(|_| Error::DegradedMode {
-        reason: "endsystem scheduler thread panicked".into(),
-    })?;
-    // The scheduler has dropped its id_tx endpoint — its stats are final.
-    let id_ring = id_rx.stats();
+    /// Records the decision win `id` carries and fills in its trace tag.
+    fn win(&mut self, id: &mut Winner, cycle: u64, batched: bool) {
+        let slot = usize::from(id.0);
+        let arm = [DECISION_SCALAR, DECISION_BATCHED][usize::from(batched)];
+        let tag = self.admitted[slot].pop_front();
+        id.1 = tag.unwrap_or(TraceTag::CONTROL.0);
+        self.record_flight(id.1, cycle, Stage::DecisionWin, arm, slot);
+    }
 
-    let wall_seconds = start.elapsed().as_secs_f64();
-    let total: u64 = per_slot.iter().sum();
-    let mut loss = prod_loss;
-    loss.merge(&sched_loss);
-    Ok((
-        ThreadedReport {
-            per_slot,
-            total,
-            wall_seconds,
-            pps: total as f64 / wall_seconds,
-            arr_ring,
-            id_ring,
-            lost: loss.total(),
-            loss,
-        },
-        fabric,
-    ))
+    /// A `Drop`-policy expiry consumed `slot`'s head packet: terminal Shed.
+    fn expire(&mut self, slot: usize, cycle: u64) {
+        if let Some(tag) = self.admitted[slot].pop_front() {
+            self.record(tag, cycle, Stage::Shed, detail::SHED_EXPIRED, slot);
+        }
+    }
+
+    /// The watchdog tripped: record it, shed every written-off deposited
+    /// packet, and take the automatic flight dump.
+    fn trip(&mut self, cycle: u64, trips: u64) {
+        let (tag, trips) = (TraceTag::CONTROL.0, trips as usize);
+        self.record_flight(tag, cycle, Stage::WatchdogTrip, 0, trips);
+        for slot in 0..self.admitted.len() {
+            while let Some(tag) = self.admitted[slot].pop_front() {
+                self.record(tag, cycle, Stage::Shed, SHED_SHARD, slot);
+            }
+        }
+        if let Some((_, flight)) = &self.on {
+            flight.auto_dump(ss_telemetry::DumpReason::WatchdogTrip, cycle);
+        }
+    }
+}
+
+/// Publishes the run's ring and pipeline statistics (`ss_endsystem_*`).
+#[cfg(feature = "telemetry")]
+fn publish(registry: &ss_telemetry::Registry, report: &ThreadedReport) {
+    const PUSHES: &str = "Successful SPSC ring enqueues";
+    const REJECTIONS: &str = "SPSC ring enqueues rejected by a full ring (backpressure)";
+    const HIGH_WATER: &str = "Producer-observed SPSC ring occupancy high-water mark";
+    const PACKETS: &str = "Packets through the threaded pipeline";
+    const PPS: &str = "End-to-end packets per second of the last threaded run";
+    for (ring, stats) in [("arrivals", &report.arr_ring), ("ids", &report.id_ring)] {
+        let l: &[(&str, &str)] = &[("ring", ring)];
+        registry
+            .counter_labeled("ss_endsystem_ring_pushes_total", l, PUSHES)
+            .add(stats.pushes);
+        registry
+            .counter_labeled("ss_endsystem_ring_rejections_total", l, REJECTIONS)
+            .add(stats.rejections);
+        let high_water = registry.gauge_labeled("ss_endsystem_ring_high_water", l, HIGH_WATER);
+        high_water.fetch_max(stats.high_water as i64);
+    }
+    registry
+        .counter("ss_endsystem_packets_total", PACKETS)
+        .add(report.total);
+    registry
+        .gauge("ss_endsystem_pps", PPS)
+        .set(report.pps as i64);
 }
 
 /// Convenience: an EDF fabric of `slots` always-backlogged streams
 /// (request period = slot count, staggered first deadlines), run through
-/// the threaded pipeline. Used by the examples and benches.
+/// the plain threaded pipeline. Used by the examples and benches.
 pub fn run_threaded_edf(
     slots: usize,
     kind: ss_hwsim::FabricConfigKind,
     arrivals_per_slot: u64,
 ) -> Result<ThreadedReport> {
-    let config = FabricConfig::edf(slots, kind);
-    let states = (0..slots)
+    let (config, states) = (FabricConfig::edf(slots, kind), edf_states(slots));
+    run_threaded(
+        config,
+        states,
+        arrivals_per_slot,
+        ThreadedOptions::default(),
+    )
+}
+
+/// `slots` always-backlogged EDF streams with request period = slot count.
+fn edf_states(slots: usize) -> Vec<StreamState> {
+    (0..slots)
         .map(|_| StreamState {
             request_period: slots as u64,
             original_window: ss_types::WindowConstraint::ZERO,
             static_prio: 0,
             late_policy: LatePolicy::ServeLate,
         })
-        .collect();
-    run_threaded(config, states, arrivals_per_slot)
+        .collect()
 }
 
 #[cfg(test)]
@@ -1058,18 +677,13 @@ mod tests {
         use ss_faults::{FaultConfig, FaultInjector, RetryPolicy};
         use std::sync::Arc;
         let config = FabricConfig::edf(4, FabricConfigKind::WinnerOnly);
-        let states = (0..4)
-            .map(|_| StreamState {
-                request_period: 4,
-                original_window: ss_types::WindowConstraint::ZERO,
-                static_prio: 0,
-                late_policy: LatePolicy::ServeLate,
-            })
-            .collect();
+        let states = edf_states(4);
         let inj = Arc::new(FaultInjector::new(11, FaultConfig::quiet()));
-        let report =
-            run_threaded_faulted(config, states, 1_000, inj.clone(), RetryPolicy::default())
-                .unwrap();
+        let opts = ThreadedOptions {
+            faults: Some((inj.clone(), RetryPolicy::default())),
+            ..ThreadedOptions::default()
+        };
+        let report = run_threaded(config, states, 1_000, opts).unwrap();
         assert_eq!(report.total, 4_000);
         assert_eq!(report.lost, 0);
         assert_eq!(inj.stats().snapshot().total_injected(), 0);
@@ -1083,14 +697,7 @@ mod tests {
         use std::sync::atomic::Ordering;
         use std::sync::Arc;
         let config = FabricConfig::edf(4, FabricConfigKind::WinnerOnly);
-        let states = (0..4)
-            .map(|_| StreamState {
-                request_period: 4,
-                original_window: ss_types::WindowConstraint::ZERO,
-                static_prio: 0,
-                late_policy: LatePolicy::ServeLate,
-            })
-            .collect();
+        let states = edf_states(4);
         // Every decision cycle wedges, and wedges chain: the fabric never
         // produces again, so the scheduler's watchdog must trip instead of
         // the run hanging or panicking.
@@ -1101,8 +708,11 @@ mod tests {
                 ..FaultConfig::quiet()
             },
         ));
-        let report =
-            run_threaded_faulted(config, states, 500, inj.clone(), RetryPolicy::default()).unwrap();
+        let opts = ThreadedOptions {
+            faults: Some((inj.clone(), RetryPolicy::default())),
+            ..ThreadedOptions::default()
+        };
+        let report = run_threaded(config, states, 500, opts).unwrap();
         assert!(report.lost > 0, "watchdog abandoned the backlog");
         assert_eq!(
             report.total + report.lost,
@@ -1133,14 +743,7 @@ mod tests {
         use ss_faults::{FaultConfig, FaultInjector, RetryPolicy};
         use std::sync::Arc;
         let config = FabricConfig::edf(4, FabricConfigKind::WinnerOnly);
-        let states = (0..4)
-            .map(|_| StreamState {
-                request_period: 4,
-                original_window: ss_types::WindowConstraint::ZERO,
-                static_prio: 0,
-                late_policy: LatePolicy::ServeLate,
-            })
-            .collect();
+        let states = edf_states(4);
         // Only SPSC overflow bursts are armed: any loss must be classified
         // at the ring site, and the by-site partition must equal the scalar
         // exactly (the double-count this ledger was introduced to rule out).
@@ -1151,8 +754,11 @@ mod tests {
                 ..FaultConfig::quiet()
             },
         ));
-        let report =
-            run_threaded_faulted(config, states, 2_000, inj, RetryPolicy::default()).unwrap();
+        let opts = ThreadedOptions {
+            faults: Some((inj, RetryPolicy::default())),
+            ..ThreadedOptions::default()
+        };
+        let report = run_threaded(config, states, 2_000, opts).unwrap();
         assert_eq!(
             report.total + report.lost,
             8_000,
@@ -1169,15 +775,13 @@ mod tests {
         use ss_telemetry::{MetricValue, Registry};
         let registry = Registry::new();
         let config = FabricConfig::edf(4, FabricConfigKind::WinnerOnly);
-        let states = (0..4)
-            .map(|_| StreamState {
-                request_period: 4,
-                original_window: ss_types::WindowConstraint::ZERO,
-                static_prio: 0,
-                late_policy: LatePolicy::ServeLate,
-            })
-            .collect();
-        let (report, qos) = run_threaded_instrumented(config, states, 500, &registry, 128).unwrap();
+        let states = edf_states(4);
+        let opts = ThreadedOptions {
+            telemetry: Some((registry.clone(), 128)),
+            ..ThreadedOptions::default()
+        };
+        let report = run_threaded(config, states, 500, opts).unwrap();
+        let qos = report.qos.clone().expect("registry attached");
         assert_eq!(report.total, 2_000);
         assert_eq!(qos.streams.len(), 4);
         let qos_serviced: u64 = qos.streams.iter().map(|s| s.serviced).sum();
@@ -1203,20 +807,12 @@ mod tests {
             .contains("ss_endsystem_ring_high_water"));
     }
 
-    #[cfg(feature = "overload")]
     #[test]
     fn overload_run_with_headroom_loses_nothing() {
         use crate::overload::GateConfig;
         use crate::red::RedConfig;
         let config = FabricConfig::edf(4, FabricConfigKind::WinnerOnly);
-        let states: Vec<StreamState> = (0..4)
-            .map(|_| StreamState {
-                request_period: 4,
-                original_window: ss_types::WindowConstraint::ZERO,
-                static_prio: 0,
-                late_policy: LatePolicy::ServeLate,
-            })
-            .collect();
+        let states = edf_states(4);
         let windows = vec![ss_types::WindowConstraint::ZERO; 4];
         // Generous buckets + a RED band far above any real occupancy: the
         // gate must be transparent when there is headroom.
@@ -1227,29 +823,26 @@ mod tests {
             RedConfig::classic(1 << 20),
             3,
         );
-        let run = run_threaded_overload(config, states, 2_000, gate).unwrap();
-        assert_eq!(run.report.total, 8_000);
-        assert_eq!(run.report.lost, 0, "no loss with headroom");
-        assert_eq!(run.offered, 8_000);
-        assert_eq!(run.admitted, 8_000);
-        assert_eq!(run.report.loss.total(), 0);
+        let opts = ThreadedOptions {
+            gate: Some(gate),
+            ..ThreadedOptions::default()
+        };
+        let run = run_threaded(config, states, 2_000, opts).unwrap();
+        let gate = run.gate.expect("gate ran");
+        assert_eq!(run.total, 8_000);
+        assert_eq!(run.lost, 0, "no loss with headroom");
+        assert_eq!(gate.offered, 8_000);
+        assert_eq!(gate.admitted, 8_000);
+        assert_eq!(run.loss.total(), 0);
     }
 
-    #[cfg(feature = "overload")]
     #[test]
     fn overload_run_conserves_under_starved_admission() {
         use crate::overload::GateConfig;
         use crate::red::RedConfig;
         use ss_overload::StreamClass;
         let config = FabricConfig::edf(4, FabricConfigKind::WinnerOnly);
-        let states: Vec<StreamState> = (0..4)
-            .map(|_| StreamState {
-                request_period: 4,
-                original_window: ss_types::WindowConstraint::ZERO,
-                static_prio: 0,
-                late_policy: LatePolicy::ServeLate,
-            })
-            .collect();
+        let states = edf_states(4);
         // Buckets refill a fraction of a token per scheduler sweep: most
         // arrivals must be refused at admission — classified, conserved,
         // and panic-free.
@@ -1267,15 +860,19 @@ mod tests {
                 protection: 0,
             })
             .collect();
-        let run = run_threaded_overload(config, states, 2_000, gate).unwrap();
-        assert_eq!(run.offered, 8_000);
-        assert!(run.report.loss.admission > 0, "starved buckets refuse");
+        let opts = ThreadedOptions {
+            gate: Some(gate),
+            ..ThreadedOptions::default()
+        };
+        let run = run_threaded(config, states, 2_000, opts).unwrap();
+        assert_eq!(run.gate.expect("gate ran").offered, 8_000);
+        assert!(run.loss.admission > 0, "starved buckets refuse");
         assert_eq!(
-            run.report.total + run.report.lost,
+            run.total + run.lost,
             8_000,
             "transmitted + classified loss covers every arrival"
         );
-        assert_eq!(run.report.loss.total(), run.report.lost, "partition exact");
+        assert_eq!(run.loss.total(), run.lost, "partition exact");
     }
 
     #[test]
@@ -1294,27 +891,19 @@ mod tests {
     }
 
     #[cfg(feature = "telemetry")]
-    fn edf_states(slots: usize) -> Vec<StreamState> {
-        (0..slots)
-            .map(|_| StreamState {
-                request_period: slots as u64,
-                original_window: ss_types::WindowConstraint::ZERO,
-                static_prio: 0,
-                late_policy: LatePolicy::ServeLate,
-            })
-            .collect()
-    }
-
-    #[cfg(feature = "telemetry")]
     #[test]
     fn traced_run_covers_full_lifecycle() {
         use ss_telemetry::span::detail;
         use ss_telemetry::{stitch, validate_causal, validate_perfetto_schema, Stage};
         let config = FabricConfig::edf(4, FabricConfigKind::WinnerOnly);
-        let run = run_threaded_traced(config, edf_states(4), 500, TraceConfig::new(1 << 15, 256))
-            .unwrap();
-        assert_eq!(run.report.total, 2_000);
-        assert_eq!(run.report.lost, 0);
+        let opts = ThreadedOptions {
+            trace: Some((1 << 15, 256)),
+            ..ThreadedOptions::default()
+        };
+        let report = run_threaded(config, edf_states(4), 500, opts).unwrap();
+        let run = report.trace.expect("traced");
+        assert_eq!(report.total, 2_000);
+        assert_eq!(report.lost, 0);
         assert_eq!(run.watchdog_trips, 0);
         assert!(run.flight_dump.is_none(), "healthy run: no automatic dump");
         assert_eq!(run.tracks.len(), 3, "producer, scheduler, transmitter");
@@ -1360,11 +949,15 @@ mod tests {
                 ..FaultConfig::quiet()
             },
         ));
-        let mut trace = TraceConfig::new(1 << 15, 512);
-        trace.faults = Some((inj, RetryPolicy::default()));
-        let run = run_threaded_traced(config, edf_states(4), 500, trace).unwrap();
+        let opts = ThreadedOptions {
+            trace: Some((1 << 15, 512)),
+            faults: Some((inj, RetryPolicy::default())),
+            ..ThreadedOptions::default()
+        };
+        let report = run_threaded(config, edf_states(4), 500, opts).unwrap();
+        let run = report.trace.expect("traced");
         assert!(run.watchdog_trips >= 1, "chained wedge trips the watchdog");
-        assert_eq!(run.report.total + run.report.lost, 2_000, "conserved");
+        assert_eq!(report.total + report.lost, 2_000, "conserved");
         let dump = run.flight_dump.expect("watchdog trip dumps the recorder");
         assert_eq!(dump.reason, DumpReason::WatchdogTrip);
         assert!(!dump.events.is_empty(), "dump holds recent events");
@@ -1378,7 +971,43 @@ mod tests {
         validate_causal(&events).expect("causal even through the trip");
     }
 
-    #[cfg(all(feature = "telemetry", feature = "overload"))]
+    /// A traced run with ring-overflow bursts on a wedged fabric credits
+    /// the injector's ledger exactly as an untraced faulted run does.
+    #[cfg(all(feature = "telemetry", feature = "faults"))]
+    #[test]
+    fn traced_faulted_run_credits_injector_ledger() {
+        use ss_faults::{FaultConfig, FaultInjector, RetryPolicy};
+        use std::sync::atomic::Ordering;
+        use std::sync::Arc;
+        let config = FabricConfig::edf(8, FabricConfigKind::WinnerOnly);
+        let inj = Arc::new(FaultInjector::new(
+            17,
+            FaultConfig {
+                decision_rate_ppm: 1_000_000,
+                spsc_rate_ppm: 1_000_000,
+                ..FaultConfig::quiet()
+            },
+        ));
+        let opts = ThreadedOptions {
+            trace: Some((1 << 16, 256)),
+            faults: Some((inj.clone(), RetryPolicy::default())),
+            ..ThreadedOptions::default()
+        };
+        let report = run_threaded(config, edf_states(8), 2_000, opts).unwrap();
+        assert!(report.trace.expect("traced").watchdog_trips >= 1);
+        assert_eq!(report.total + report.lost, 16_000, "conserved");
+        assert_eq!(report.loss.total(), report.lost, "partition is exact");
+        assert_eq!(report.loss.ring + report.loss.shard, report.lost);
+        let stats = inj.stats();
+        assert_eq!(
+            stats.lost_packets.load(Ordering::Relaxed),
+            report.lost,
+            "injector ledger matches the report"
+        );
+        assert!(stats.detected.load(Ordering::Relaxed) >= 1, "trip detected");
+    }
+
+    #[cfg(feature = "telemetry")]
     #[test]
     fn traced_gate_records_verdicts_and_shed_reasons() {
         use crate::overload::GateConfig;
@@ -1386,7 +1015,6 @@ mod tests {
         use ss_overload::StreamClass;
         use ss_telemetry::span::detail;
         use ss_telemetry::{stitch, validate_causal, Stage};
-        let config = FabricConfig::edf(4, FabricConfigKind::WinnerOnly);
         let mut gate = GateConfig::from_windows(
             &[ss_types::WindowConstraint { num: 3, den: 4 }; 4],
             1_000_000,
@@ -1403,28 +1031,65 @@ mod tests {
                 protection: 0,
             })
             .collect();
-        let mut trace = TraceConfig::new(1 << 16, 256);
-        trace.gate = Some(gate);
-        let run = run_threaded_traced(config, edf_states(4), 2_000, trace).unwrap();
-        assert_eq!(run.report.total + run.report.lost, 8_000, "conserved");
-        assert!(run.report.loss.admission > 0, "starved buckets refuse");
-        let events = stitch(&run.tracks);
-        let verdicts: Vec<_> = events
-            .iter()
-            .filter(|e| e.stage == Stage::GateVerdict)
-            .collect();
-        assert_eq!(verdicts.len(), 8_000, "one verdict per dequeued arrival");
-        assert!(verdicts.iter().any(|e| e.detail == detail::GATE_ADMITTED));
-        assert!(verdicts
-            .iter()
-            .any(|e| e.detail == detail::GATE_ADMISSION_REJECT));
-        let refused = events
-            .iter()
-            .filter(|e| {
-                e.stage == Stage::Shed && e.detail == detail::GATE_ADMISSION_REJECT
-            })
-            .count() as u64;
-        assert_eq!(refused, run.report.loss.admission, "shed trail matches ledger");
-        validate_causal(&events).expect("gate verdicts rank after dequeue");
+        let gated = ThreadedOptions {
+            gate: Some(gate),
+            trace: Some((1 << 16, 256)),
+            ..ThreadedOptions::default()
+        };
+        #[allow(unused_mut)]
+        let mut inputs = vec![gated.clone()];
+        // Gate, faults and tracing all on: ring bursts and decision wedges
+        // behind the starved gate.
+        #[cfg(feature = "faults")]
+        inputs.push(ThreadedOptions {
+            faults: Some((
+                std::sync::Arc::new(ss_faults::FaultInjector::new(
+                    0xC0FF_EE00,
+                    ss_faults::FaultConfig {
+                        spsc_rate_ppm: 10_000,
+                        decision_rate_ppm: 3_000,
+                        ..ss_faults::FaultConfig::quiet()
+                    },
+                )),
+                ss_faults::RetryPolicy::default(),
+            )),
+            ..gated
+        });
+        for (i, opts) in inputs.into_iter().enumerate() {
+            let faulted = i > 0;
+            let config = FabricConfig::edf(4, FabricConfigKind::WinnerOnly);
+            let run = run_threaded(config, edf_states(4), 2_000, opts).unwrap();
+            assert_eq!(run.total + run.lost, 8_000, "conserved");
+            assert!(run.loss.admission > 0, "starved buckets refuse");
+            assert_eq!(run.loss.total(), run.lost, "partition is exact");
+            assert_eq!(
+                run.loss.admission + run.loss.shed + run.loss.ring + run.loss.shard,
+                run.lost,
+                "admission, shed, ring and shard partition the loss"
+            );
+            let events = stitch(&run.trace.expect("traced").tracks);
+            let verdicts: Vec<_> = events
+                .iter()
+                .filter(|e| e.stage == Stage::GateVerdict)
+                .collect();
+            let dequeued = events
+                .iter()
+                .filter(|e| e.stage == Stage::RingDequeue)
+                .count();
+            assert_eq!(verdicts.len(), dequeued, "one verdict per dequeued arrival");
+            if !faulted {
+                assert_eq!(verdicts.len(), 8_000, "one verdict per dequeued arrival");
+            }
+            assert!(verdicts.iter().any(|e| e.detail == detail::GATE_ADMITTED));
+            assert!(verdicts
+                .iter()
+                .any(|e| e.detail == detail::GATE_ADMISSION_REJECT));
+            let refused = events
+                .iter()
+                .filter(|e| e.stage == Stage::Shed && e.detail == detail::GATE_ADMISSION_REJECT)
+                .count() as u64;
+            assert_eq!(refused, run.loss.admission, "shed trail matches ledger");
+            validate_causal(&events).expect("gate verdicts rank after dequeue");
+        }
     }
 }

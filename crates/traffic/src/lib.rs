@@ -13,9 +13,8 @@
 //!   frame rate (the paper's §2 example of large-granularity scheduling).
 //! * [`merge()`] — deterministic time-ordered merge of per-stream sources.
 //! * [`trace`] — CSV trace record/replay with retiming helpers.
-//! * `throttle::Throttled` (cargo feature `overload`) — backpressure-paced
-//!   wrapper stretching any generator's gaps by the endsystem's published
-//!   pressure level.
+//! * [`Throttled`] — backpressure-paced wrapper stretching any generator's
+//!   gaps by the endsystem's published pressure level.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,7 +26,6 @@ pub mod mpeg;
 pub mod onoff;
 pub mod poisson;
 pub mod shaper;
-#[cfg(feature = "overload")]
 pub mod throttle;
 pub mod trace;
 
@@ -38,7 +36,6 @@ pub use mpeg::MpegFrames;
 pub use onoff::OnOff;
 pub use poisson::Poisson;
 pub use shaper::Shaper;
-#[cfg(feature = "overload")]
 pub use throttle::Throttled;
 pub use trace::{from_csv, rebase, retime, to_csv};
 

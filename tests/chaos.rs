@@ -19,7 +19,7 @@
 
 use sharestreams::core::LatePolicy;
 use sharestreams::endsystem::{
-    run_threaded_faulted, CardLink, PciModel, QueueManager, TransferStrategy,
+    run_threaded, CardLink, PciModel, QueueManager, ThreadedOptions, TransferStrategy,
 };
 use sharestreams::prelude::*;
 use sharestreams::types::{Error, PacketSize, StreamId};
@@ -58,12 +58,13 @@ fn threaded_endsystem_survives_seeded_chaos() {
             },
         ));
         let states = (0..slots).map(|_| edf_state(slots as u64)).collect();
-        let report = run_threaded_faulted(
+        let mut opts = ThreadedOptions::default();
+        opts.faults = Some((Arc::clone(&inj), RetryPolicy::default()));
+        let report = run_threaded(
             FabricConfig::edf(slots, FabricConfigKind::WinnerOnly),
             states,
             per_slot,
-            Arc::clone(&inj),
-            RetryPolicy::default(),
+            opts,
         )
         .unwrap_or_else(|e| panic!("seed {seed}: pipeline died: {e}"));
 
@@ -425,7 +426,6 @@ fn fault_ledger_publishes_into_telemetry() {
 /// RED mirror's hard capacity, every refusal partitioned exactly by loss
 /// site, tight-window (`0/4`) streams meeting strictly more deadlines
 /// than the unmanaged baseline, and bit-identical replay.
-#[cfg(feature = "overload")]
 mod overload_soak {
     use super::*;
     use sharestreams::endsystem::{GateConfig, GateVerdict, OverloadGate, RedConfig};

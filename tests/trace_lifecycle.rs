@@ -124,7 +124,7 @@ proptest! {
 #[cfg(feature = "faults")]
 #[test]
 fn traced_chaos_run_is_causal_and_perfetto_loadable() {
-    use sharestreams::endsystem::{run_threaded_traced, TraceConfig};
+    use sharestreams::endsystem::{run_threaded, ThreadedOptions};
     use ss_faults::{FaultConfig, FaultInjector, RetryPolicy};
     use std::sync::Arc;
 
@@ -139,19 +139,21 @@ fn traced_chaos_run_is_causal_and_perfetto_loadable() {
             ..FaultConfig::quiet()
         },
     ));
-    let mut trace = TraceConfig::new(1 << 16, 512);
-    trace.faults = Some((inj, RetryPolicy::default()));
+    let mut opts = ThreadedOptions::default();
+    opts.trace = Some((1 << 16, 512));
+    opts.faults = Some((inj, RetryPolicy::default()));
     let states = (0..slots).map(|_| edf_state(slots as u64)).collect();
-    let out = run_threaded_traced(
+    let report = run_threaded(
         FabricConfig::edf(slots, FabricConfigKind::WinnerOnly),
         states,
         per_slot,
-        trace,
+        opts,
     )
     .expect("traced chaos run completes");
+    let out = report.trace.expect("traced");
 
     assert_eq!(
-        out.report.total + out.report.lost,
+        report.total + report.lost,
         offered,
         "offered load is conserved under chaos"
     );
@@ -189,7 +191,7 @@ fn traced_chaos_run_is_causal_and_perfetto_loadable() {
 #[cfg(feature = "faults")]
 #[test]
 fn watchdog_trip_takes_automatic_flight_dump() {
-    use sharestreams::endsystem::{run_threaded_traced, TraceConfig};
+    use sharestreams::endsystem::{run_threaded, ThreadedOptions};
     use ss_faults::{FaultConfig, FaultInjector, RetryPolicy};
     use std::sync::Arc;
 
@@ -201,16 +203,19 @@ fn watchdog_trip_takes_automatic_flight_dump() {
             ..FaultConfig::quiet()
         },
     ));
-    let mut trace = TraceConfig::new(1 << 14, 256);
-    trace.faults = Some((inj, RetryPolicy::default()));
+    let mut opts = ThreadedOptions::default();
+    opts.trace = Some((1 << 14, 256));
+    opts.faults = Some((inj, RetryPolicy::default()));
     let states = (0..slots).map(|_| edf_state(slots as u64)).collect();
-    let out = run_threaded_traced(
+    let out = run_threaded(
         FabricConfig::edf(slots, FabricConfigKind::WinnerOnly),
         states,
         500,
-        trace,
+        opts,
     )
-    .expect("stuck run still returns a report");
+    .expect("stuck run still returns a report")
+    .trace
+    .expect("traced");
 
     assert!(out.watchdog_trips >= 1, "the watchdog declared the path stuck");
     let dump = out.flight_dump.expect("trip produced an automatic dump");

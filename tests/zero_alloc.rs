@@ -377,7 +377,6 @@ fn steady_state_decision_cycles_do_not_allocate() {
     // band, so the measured span exercises every verdict — token-bucket
     // rejects, RED sheds, protected-stream vetoes, and plain admits —
     // plus the pressure/ledger bookkeeping behind them.
-    #[cfg(feature = "overload")]
     {
         use sharestreams::endsystem::{GateConfig, GateVerdict, OverloadGate, RedConfig};
         let windows: Vec<WindowConstraint> = (0..SLOTS)
