@@ -22,7 +22,7 @@ use ss_core::{
     ControlFsm, DecisionBlock, DecisionOutcome, DwcsUpdater, Fabric, FabricConfig,
     FabricConfigKind, LatePolicy, PriorityUpdater, RegisterBaseBlock, ScheduledPacket, StreamState,
 };
-use ss_endsystem::{GateConfig, GateVerdict, OverloadGate, RedConfig};
+use ss_overload::{Gate, GateConfig, GateVerdict, RedConfig};
 use ss_sharded::ShardedScheduler;
 use ss_types::{ComparisonMode, SlotId, StreamAttrs, WindowConstraint, Wrap16};
 use std::hint::black_box;
@@ -340,13 +340,13 @@ fn sharded_aggregate_decisions_per_s(slots: usize, shards: usize) -> f64 {
 /// Builds the overload gate used by the admission-path rows: uniform
 /// 2×-sustainable buckets over a mixed set of window constraints, with the
 /// classic RED curve over a 64-deep mirror.
-fn admission_gate(slots: usize) -> OverloadGate {
+fn admission_gate(slots: usize) -> Gate {
     let windows: Vec<WindowConstraint> = (0..slots)
         .map(|s| WindowConstraint::new((s % 4) as u8, 4))
         .collect();
     // Aggregate refill = slots × (1000/slots) ≈ the fabric's 1000 mtok
     // service rate, so a 2× offered load really exercises the reject path.
-    OverloadGate::new(GateConfig::from_windows(
+    Gate::from_config(GateConfig::from_windows(
         &windows,
         (1_000 / slots as u32).max(1),
         4_000,
@@ -366,17 +366,17 @@ fn gate_offers_per_s(slots: usize) -> f64 {
         for i in 0..512usize {
             let _ = gate.offer(i % slots);
             gate.served(i % slots);
-            gate.tick(i % 128, 128);
+            gate.tick_at(i % 128, 128);
         }
         let start = Instant::now();
         let mut admitted = 0u64;
         for i in 0..offers {
-            if matches!(gate.offer(i as usize % slots), GateVerdict::Admit) {
+            if matches!(gate.offer(i as usize % slots), GateVerdict::Admitted) {
                 admitted += 1;
                 gate.served(i as usize % slots);
             }
             if i % 2 == 0 {
-                gate.tick((i % 128) as usize, 128);
+                gate.tick_at((i % 128) as usize, 128);
             }
         }
         black_box(admitted);
@@ -402,7 +402,7 @@ fn gated_decisions_per_s(slots: usize, managed: bool) -> f64 {
             for k in 0..2u64 {
                 let slot = ((c * 2 + k) % slots as u64) as usize;
                 let admit = match gate.as_mut() {
-                    Some(g) => matches!(g.offer(slot), GateVerdict::Admit),
+                    Some(g) => matches!(g.offer(slot), GateVerdict::Admitted),
                     None => true,
                 };
                 if admit {
@@ -417,7 +417,7 @@ fn gated_decisions_per_s(slots: usize, managed: bool) -> f64 {
                 }
             }
             if let Some(g) = gate.as_mut() {
-                g.tick(0, 128);
+                g.tick_at(0, 128);
             }
         }
         black_box(packets);

@@ -23,11 +23,11 @@
 
 use serde::Serialize;
 use ss_bench::{banner, fmt_rate};
-use ss_endsystem::RedConfig;
 use ss_ingress::{
     ClientConfig, EdgeGate, EdgeMode, FaultConfig, FaultInjector, IngressArrival, IngressClient,
     IngressConfig, IngressServer,
 };
+use ss_overload::RedConfig;
 use ss_types::WindowConstraint;
 use std::hint::black_box;
 use std::sync::Arc;
@@ -79,7 +79,7 @@ fn in_process_pps() -> f64 {
         gate.tick();
     }
     let elapsed = start.elapsed().as_secs_f64();
-    black_box(gate.served());
+    black_box(gate.served_total());
     (IN_PROCESS_BATCHES * BATCH as u64) as f64 / elapsed
 }
 

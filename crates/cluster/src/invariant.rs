@@ -172,7 +172,7 @@ impl InvariantEngine {
             return Some(Invariant::VirtualTimeMonotone);
         }
         for s in 0..node.slots() {
-            if node.gate().protection(s) >= crate::gate::FULLY_PROTECTED
+            if node.gate().protection(s) >= ss_overload::FULLY_PROTECTED
                 && node.gate().shed_for(s) != 0
             {
                 return Some(Invariant::ProtectedShed);

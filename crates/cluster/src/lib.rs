@@ -9,7 +9,8 @@
 //! horizons with faults and overload layered on. `ss-cluster` provides:
 //!
 //! * a **discrete-event simulator** ([`sim::ClusterSim`]) running many
-//!   endsystems (each a sharded DWCS fabric behind an ss-overload gate)
+//!   endsystems (each a sharded DWCS fabric behind an `ss_overload::Gate`
+//!   without RED, which proposes sheds while the node is Overloaded)
 //!   plus a bounded linecard egress aggregator on one shared virtual
 //!   clock;
 //! * **composable scenario generators** ([`scenario`]) — steady state,
@@ -37,14 +38,14 @@
 //! `ss-overload`, `ss-faults`, `ss-telemetry`, and the serde shims. It
 //! must never enable another crate's cargo feature — unification would
 //! silently turn that feature on for every build and invalidate the CI
-//! feature-matrix off-state legs.
+//! feature-matrix off-state legs. The node gate is the same feature-free
+//! `ss_overload::Gate` the endsystem and the TCP edge run, not a copy.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cli;
 pub mod faults;
-pub mod gate;
 pub mod invariant;
 pub mod node;
 pub mod report;
@@ -53,7 +54,6 @@ pub mod sim;
 
 pub use cli::{parse_args, repro_command, SoakArgs};
 pub use faults::FaultProfile;
-pub use gate::{NodeGate, FULLY_PROTECTED};
 pub use invariant::{EgressView, Invariant, InvariantEngine, Violation};
 pub use node::{NodeParams, SimNode, Winner};
 pub use report::{append_trend, RunReport, TrendFile, TrendPoint, ViolationReport};

@@ -35,12 +35,11 @@
 //!   slots' fabric backlogs.
 //! * Winner `completed_at` is strictly increasing (lock-step clocks).
 
-use crate::gate::{NodeGate, FULLY_PROTECTED};
 use crate::scenario::Scenario;
 use ss_core::{FabricConfig, FabricConfigKind, LatePolicy, ScheduledPacket, StreamState};
 use ss_faults::rng::mix;
 use ss_faults::{FaultInjector, FaultKind, FaultSite};
-use ss_overload::LossLedger;
+use ss_overload::{Gate, GateVerdict, LossLedger, FULLY_PROTECTED};
 use ss_sharded::ShardedScheduler;
 use ss_types::{Error, Wrap16};
 
@@ -67,7 +66,7 @@ pub struct NodeParams {
 pub struct SimNode {
     id: usize,
     sched: ShardedScheduler,
-    gate: NodeGate,
+    gate: Gate,
     injector: FaultInjector,
     per_shard: usize,
     /// Arrival-count scratch, reused every tick.
@@ -119,10 +118,13 @@ impl SimNode {
             };
             sched.load_stream(g, state, (g + 1) as u64)?;
         }
-        let gate = NodeGate::new(
+        // No RED: the gate proposes sheds while the node is Overloaded.
+        let gate = Gate::new(
             scenario.windows(),
             params.gate_rate_mtok,
             params.gate_burst_mtok,
+            None,
+            0,
         );
         Ok(Self {
             id,
@@ -199,7 +201,7 @@ impl SimNode {
 
         // The gate observes post-decision occupancy: the fabric's live
         // backlog against a nominal per-slot queue depth of 8.
-        self.gate.tick(self.backlog_ctr as usize, slots * 8);
+        self.gate.tick_at(self.backlog_ctr as usize, slots * 8);
         winner
     }
 
@@ -232,15 +234,15 @@ impl SimNode {
     fn offer_one(&mut self, slot: usize, tick: u64) {
         self.offered += 1;
         if self.dead_slot[slot] {
-            self.gate.shard_loss(1);
+            self.gate.mark_shard_loss(1);
             return;
         }
-        if !self.gate.offer(slot) {
+        if self.gate.offer(slot) != GateVerdict::Admitted {
             return; // ledgered at admission or shed
         }
         if self.ring_drop_budget > 0 && self.gate.protection(slot) < FULLY_PROTECTED {
             self.ring_drop_budget -= 1;
-            self.gate.ring_drop();
+            self.gate.mark_ring_loss();
             return;
         }
         match self.sched.push_arrival(slot, Wrap16::from_wide(tick)) {
@@ -250,7 +252,7 @@ impl SimNode {
             }
             Err(Error::ShardFailed { .. }) => {
                 self.dead_slot[slot] = true;
-                self.gate.shard_loss(1);
+                self.gate.mark_shard_loss(1);
             }
             Err(_) => self.internal_error = true,
         }
@@ -298,7 +300,7 @@ impl SimNode {
                 continue;
             }
             if let Ok(lost) = self.sched.fail_shard(k) {
-                self.gate.shard_loss(lost);
+                self.gate.mark_shard_loss(lost);
                 self.backlog_ctr = self.backlog_ctr.saturating_sub(lost);
                 for s in k * self.per_shard..(k + 1) * self.per_shard {
                     self.dead_slot[s] = true;
@@ -361,7 +363,7 @@ impl SimNode {
     }
 
     /// The composed gate (protected-floor witnesses live here).
-    pub fn gate(&self) -> &NodeGate {
+    pub fn gate(&self) -> &Gate {
         &self.gate
     }
 

@@ -41,11 +41,9 @@
 pub mod affinity;
 pub mod aggregation;
 pub mod faults;
-pub mod overload;
 pub mod pci;
 pub mod pipeline;
 pub mod queue_manager;
-pub mod red;
 pub mod spsc;
 pub mod sram;
 pub mod streaming;
@@ -55,11 +53,10 @@ pub mod transmission;
 pub use affinity::pin_current_thread;
 pub use aggregation::{StreamletMux, StreamletSetConfig};
 pub use faults::EndsystemFaults;
-pub use overload::{GateConfig, GateReason, GateVerdict, OverloadGate};
 pub use pci::{CardLink, PciModel, TransferStrategy};
 pub use pipeline::{EndsystemConfig, EndsystemPipeline, EndsystemReport, StreamPipelineStats};
 pub use queue_manager::QueueManager;
-pub use red::{early_drop_probability, RedConfig, RedQueue, RedVerdict};
+pub use ss_overload::{early_drop_probability, RedConfig, RedQueue, RedVerdict};
 pub use spsc::{spsc_ring, Consumer, Producer, RingStats};
 pub use sram::{BankOwner, BankedSram};
 pub use streaming::{StreamingReport, StreamingUnit};

@@ -13,10 +13,9 @@
 //! site and conserved exactly: `total + lost` equals the offered load.
 
 use crate::faults::EndsystemFaults;
-use crate::overload::{GateConfig, GateVerdict, OverloadGate};
 use crate::spsc::{spsc_ring, Consumer, Producer, RingStats};
 use ss_core::{DecisionWatchdog, Fabric, FabricConfig, LatePolicy, StreamState, WatchdogVerdict};
-use ss_overload::{LossLedger, LossSite, SharedPressure};
+use ss_overload::{Gate, GateConfig, GateVerdict, LossLedger, LossSite, SharedPressure};
 use ss_types::{Error, Result, Wrap16};
 use std::time::Instant;
 
@@ -82,7 +81,8 @@ pub struct ThreadedReport {
     /// Scheduler → transmitter winner-ID-ring statistics.
     pub id_ring: RingStats,
     /// Packets lost: dropped at an overflowing arrival ring, refused by
-    /// the gate, or abandoned with a stuck fabric. Equals `loss.total()`.
+    /// the gate, expired under `LatePolicy::Drop`, or abandoned with a
+    /// stuck fabric. Equals `loss.total()`.
     pub lost: u64,
     /// The same loss, classified by the one site that consumed each packet.
     pub loss: LossLedger,
@@ -166,8 +166,8 @@ pub fn run_threaded(
     if let Some((registry, capacity)) = &opts.telemetry {
         fabric.attach_telemetry(registry, 0, *capacity);
     }
-    let gate = opts.gate.map(OverloadGate::new);
-    let pressure = gate.as_ref().map(OverloadGate::shared_pressure);
+    let gate = opts.gate.map(Gate::from_config);
+    let pressure = gate.as_ref().map(Gate::shared_pressure);
     #[cfg(feature = "telemetry")]
     let recorders = opts
         .trace
@@ -263,11 +263,12 @@ pub fn run_threaded(
     let wall_seconds = start.elapsed().as_secs_f64();
     let total: u64 = per_slot.iter().sum();
     loss.merge(&sched.loss);
-    // All loss so far is to faults; the gate's refusals are merged below.
+    // Ring and shard loss is to faults; expiries (shed site) and the
+    // gate's refusals are policy.
     #[cfg(feature = "faults")]
     if let Some((inj, _)) = &opts.faults {
         use std::sync::atomic::Ordering;
-        let (stats, lost, trips) = (inj.stats(), loss.total(), sched.watchdog.trips());
+        let (stats, lost, trips) = (inj.stats(), loss.ring + loss.shard, sched.watchdog.trips());
         stats.lost_packets.fetch_add(lost, Ordering::Relaxed);
         stats.detected.fetch_add(trips, Ordering::Relaxed);
     }
@@ -322,11 +323,13 @@ fn joined<T>(handle: std::thread::JoinHandle<T>, role: &str) -> Result<T> {
 /// The scheduler thread's state.
 struct Scheduler {
     fabric: Fabric,
-    gate: Option<OverloadGate>,
+    gate: Option<Gate>,
     /// Per-slot fabric drop counters at the last sweep, when some stream
-    /// drops late packets: a delta is expiries leaving the backlog.
+    /// drops late packets: a delta is expiries leaving the backlog, each
+    /// recorded once at the shed site.
     dropped: Option<Vec<u64>>,
-    /// Ring- and shard-site loss; the gate's refusals are in its ledger.
+    /// Ring- and shard-site loss, and expiries on an ungated run; the
+    /// gate's refusals and expiries are in its ledger.
     loss: LossLedger,
     watchdog: DecisionWatchdog,
     #[cfg(feature = "telemetry")]
@@ -377,7 +380,7 @@ impl Scheduler {
                 // One control tick per sweep: ring occupancy plus fabric
                 // backlog drive the pressure signal.
                 let occupied = rx.len() + pending.min(RING_CAPACITY as u64) as usize;
-                gate.tick(occupied, 2 * RING_CAPACITY);
+                gate.tick_at(occupied, 2 * RING_CAPACITY);
             }
             if pending == 0 {
                 if rx.is_disconnected() && rx.is_empty() {
@@ -409,6 +412,10 @@ impl Scheduler {
                     while *seen < dropped {
                         *seen += 1;
                         pending = pending.saturating_sub(1);
+                        match &mut self.gate {
+                            Some(gate) => gate.expire(),
+                            None => self.loss.record(LossSite::Shed),
+                        }
                         #[cfg(feature = "telemetry")]
                         self.spans.expire(slot, cycle);
                     }
@@ -449,7 +456,7 @@ impl Scheduler {
             return true;
         };
         let (verdict, _reason) = gate.offer_traced(msg.slot);
-        let admitted = verdict == GateVerdict::Admit;
+        let admitted = verdict == GateVerdict::Admitted;
         #[cfg(feature = "telemetry")]
         self.spans
             .verdict(msg, admitted, _reason.code(), self.fabric.decision_count());
@@ -809,8 +816,7 @@ mod tests {
 
     #[test]
     fn overload_run_with_headroom_loses_nothing() {
-        use crate::overload::GateConfig;
-        use crate::red::RedConfig;
+        use ss_overload::RedConfig;
         let config = FabricConfig::edf(4, FabricConfigKind::WinnerOnly);
         let states = edf_states(4);
         let windows = vec![ss_types::WindowConstraint::ZERO; 4];
@@ -838,9 +844,7 @@ mod tests {
 
     #[test]
     fn overload_run_conserves_under_starved_admission() {
-        use crate::overload::GateConfig;
-        use crate::red::RedConfig;
-        use ss_overload::StreamClass;
+        use ss_overload::{RedConfig, StreamClass};
         let config = FabricConfig::edf(4, FabricConfigKind::WinnerOnly);
         let states = edf_states(4);
         // Buckets refill a fraction of a token per scheduler sweep: most
@@ -873,6 +877,51 @@ mod tests {
             "transmitted + classified loss covers every arrival"
         );
         assert_eq!(run.loss.total(), run.lost, "partition exact");
+    }
+
+    #[test]
+    fn drop_policy_expiries_are_conserved() {
+        use ss_overload::RedConfig;
+        // Four 1/2-window streams at twice the fabric's service rate: the
+        // backlog outgrows every deadline and `Drop` expires packets.
+        let states = vec![
+            StreamState {
+                request_period: 2,
+                original_window: ss_types::WindowConstraint { num: 1, den: 2 },
+                static_prio: 0,
+                late_policy: LatePolicy::Drop,
+            };
+            4
+        ];
+        let windows = vec![ss_types::WindowConstraint { num: 1, den: 2 }; 4];
+        // Ungated, and behind a transparent gate whose mirror must follow
+        // the expiries out of the backlog.
+        let gates = [
+            None,
+            Some(GateConfig::from_windows(
+                &windows,
+                1_000_000,
+                4_000_000,
+                RedConfig::classic(1 << 20),
+                3,
+            )),
+        ];
+        for gate in gates {
+            let gated = gate.is_some();
+            let opts = ThreadedOptions {
+                gate,
+                ..ThreadedOptions::default()
+            };
+            let config = FabricConfig::dwcs(4, FabricConfigKind::WinnerOnly);
+            let run = run_threaded(config, states.clone(), 2_000, opts).unwrap();
+            assert!(run.loss.shed > 0, "gated {gated}: expiries happened");
+            assert_eq!(
+                run.total + run.lost,
+                8_000,
+                "gated {gated}: transmitted + classified loss covers every arrival"
+            );
+            assert_eq!(run.loss.total(), run.lost, "gated {gated}: partition exact");
+        }
     }
 
     #[test]
@@ -1010,9 +1059,7 @@ mod tests {
     #[cfg(feature = "telemetry")]
     #[test]
     fn traced_gate_records_verdicts_and_shed_reasons() {
-        use crate::overload::GateConfig;
-        use crate::red::RedConfig;
-        use ss_overload::StreamClass;
+        use ss_overload::{RedConfig, StreamClass};
         use ss_telemetry::span::detail;
         use ss_telemetry::{stitch, validate_causal, Stage};
         let mut gate = GateConfig::from_windows(

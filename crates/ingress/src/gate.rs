@@ -1,39 +1,22 @@
-//! The edge admission gate: ss-overload's state machines composed with a
-//! RED front end for the network boundary.
+//! The edge admission gate: [`ss_overload::Gate`] over a RED backlog of
+//! decoded arrivals.
 //!
-//! Packets decoded from SUBMIT frames pass through, in order:
-//!
-//! 1. the window-aware token-bucket [`AdmissionController`] — no token ⇒
-//!    the packet is refused before any buffering ([`LossSite::Admission`]);
-//! 2. the RED-managed edge backlog ([`RedQueue`]) — the probabilistic
-//!    front end. An Early/Forced verdict is a *shed proposal* the
-//!    QoS-aware [`QosShedder`] may veto: streams with loss headroom are
-//!    shed ([`LossSite::Shed`]), protected (0/y-window) streams are
-//!    force-enqueued past RED. Only the hard capacity backstop can refuse
-//!    a protected stream ([`LossSite::Ring`], the bounded-buffer
-//!    overflow site);
-//! 3. the backlog is served at the embedder's pace via
-//!    [`EdgeGate::pop_backlog`] / [`EdgeGate::mark_served`]; in the real
-//!    server the popped arrivals feed the endsystem SPSC ring.
-//!
-//! The backlog depth drives a hysteresis [`PressureSignal`] published
-//! through a [`SharedPressure`], and [`EdgeGate::reply_code`] turns the
-//! level into the SUBMIT_ACK backpressure byte — which throttles
-//! well-behaved clients *before* RED starts shedding, the
-//! source-propagated backpressure rule this crate exists to enforce.
-//!
-//! Conservation is structural: every offered packet is either still in
-//! the backlog, served, or recorded at exactly one [`LossSite`] —
-//! [`EdgeGate::conserves`] checks the identity and the chaos soak asserts
-//! it at every seed.
+//! Packets decoded from SUBMIT frames pass the window-aware token buckets,
+//! then RED over the edge backlog proposes sheds that the QoS shedder
+//! vetoes for protected (0/y-window) streams. The backlog is served at the
+//! embedder's pace via [`ss_overload::Gate::pop_backlog`] /
+//! [`ss_overload::Gate::mark_served`]; in the real server the popped
+//! arrivals feed the endsystem SPSC ring. The backlog depth drives the
+//! gate's hysteresis pressure, and [`ss_overload::Gate::reply_code`] turns
+//! the level into the SUBMIT_ACK backpressure byte, which throttles
+//! well-behaved clients *before* RED starts shedding.
 
-use ss_endsystem::{RedConfig, RedQueue, RedVerdict};
-use ss_overload::{
-    AdmissionController, LossLedger, LossSite, PressureConfig, PressureSignal, QosShedder,
-    SharedPressure, StreamClass,
-};
-use ss_types::WindowConstraint;
-use std::sync::Arc;
+use ss_overload::{BacklogItem, Gate};
+
+pub use ss_overload::GateVerdict as EdgeVerdict;
+
+/// The edge gate: its backlog holds the admitted arrivals themselves.
+pub type EdgeGate = Gate<IngressArrival>;
 
 /// One admitted arrival as handed to the endsystem ring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,228 +27,20 @@ pub struct IngressArrival {
     pub tag: u16,
 }
 
-/// Where an offered packet went.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EdgeVerdict {
-    /// Entered the edge backlog (will be served or drained).
-    Admitted,
-    /// No admission token ([`LossSite::Admission`]).
-    RejectedAdmission,
-    /// RED proposed and the QoS shedder confirmed ([`LossSite::Shed`]).
-    Shed,
-    /// Bounded edge buffer physically full ([`LossSite::Ring`]).
-    Overflow,
-}
-
-/// The composed edge gate. Single-owner (`&mut`) — the server serializes
-/// connections through it, which is also what makes the chaos soak's
-/// verdict sequence a pure function of the offered sequence.
-#[derive(Debug)]
-pub struct EdgeGate {
-    admission: AdmissionController,
-    shedder: QosShedder,
-    backlog: RedQueue<IngressArrival>,
-    pressure: PressureSignal,
-    shared: Arc<SharedPressure>,
-    ledger: LossLedger,
-    capacity: usize,
-    served_per_slot: Vec<u64>,
-    offered: u64,
-    served: u64,
-}
-
-impl EdgeGate {
-    /// Builds a gate for `windows`: per-stream admission classes derive
-    /// their protection (squeeze tier and sheddability) from each window
-    /// constraint; the RED backlog holds `red.capacity` packets and draws
-    /// its early-drop randomness from `seed`.
-    pub fn new(
-        windows: &[WindowConstraint],
-        rate_mtok: u32,
-        burst_mtok: u32,
-        red: RedConfig,
-        seed: u64,
-    ) -> Self {
-        let classes: Vec<StreamClass> = windows
-            .iter()
-            .map(|&w| StreamClass::from_window(rate_mtok, burst_mtok, w))
-            .collect();
-        let capacity = red.capacity;
-        Self {
-            admission: AdmissionController::new(classes),
-            shedder: QosShedder::new(windows),
-            backlog: RedQueue::new(red, seed),
-            pressure: PressureSignal::new(PressureConfig::default()),
-            shared: Arc::new(SharedPressure::new()),
-            ledger: LossLedger::new(),
-            capacity,
-            served_per_slot: vec![0; windows.len()],
-            offered: 0,
-            served: 0,
-        }
-    }
-
-    /// Offers one decoded packet. Registered hot path: integer/flag work
-    /// plus one RED draw, allocation-free, panic-free.
+impl BacklogItem for IngressArrival {
+    type Arrival = Self;
     // lint:hot-path
     #[inline]
-    pub fn offer(&mut self, arrival: IngressArrival) -> EdgeVerdict {
-        self.offered += 1;
-        let slot = arrival.slot as usize;
-        if !self.admission.try_admit(slot) {
-            self.ledger.record(LossSite::Admission);
-            return EdgeVerdict::RejectedAdmission;
-        }
-        match self.backlog.offer(arrival) {
-            RedVerdict::Enqueued => EdgeVerdict::Admitted,
-            RedVerdict::TailDrop => {
-                self.ledger.record(LossSite::Ring);
-                EdgeVerdict::Overflow
-            }
-            RedVerdict::EarlyDrop | RedVerdict::ForcedDrop => {
-                if self.shedder.sheddable(slot) {
-                    self.shedder.record_shed(slot);
-                    self.ledger.record(LossSite::Shed);
-                    EdgeVerdict::Shed
-                } else if self.backlog.push_unchecked(arrival) {
-                    // Protected veto: RED's proposal overruled; the packet
-                    // enters past the probabilistic front end.
-                    EdgeVerdict::Admitted
-                } else {
-                    self.ledger.record(LossSite::Ring);
-                    EdgeVerdict::Overflow
-                }
-            }
-        }
-    }
-
-    /// Pops the oldest backlogged arrival for service. The caller either
-    /// [`EdgeGate::mark_served`]s it (handed to the endsystem) or
-    /// [`EdgeGate::mark_ring_loss`]es it (endsystem ring refused).
-    /// Registered hot path.
-    // lint:hot-path
-    #[inline]
-    pub fn pop_backlog(&mut self) -> Option<IngressArrival> {
-        self.backlog.pop()
-    }
-
-    /// Accounts a popped arrival as served. Registered hot path.
-    // lint:hot-path
-    #[inline]
-    pub fn mark_served(&mut self, slot: usize) {
-        self.served += 1;
-        self.shedder.record_served(slot);
-        if let Some(c) = self.served_per_slot.get_mut(slot) {
-            *c += 1;
-        }
-    }
-
-    /// Accounts a popped arrival the endsystem ring refused. Registered
-    /// hot path.
-    // lint:hot-path
-    #[inline]
-    pub fn mark_ring_loss(&mut self) {
-        self.ledger.record(LossSite::Ring);
-    }
-
-    /// One edge tick: observe backlog occupancy, advance the hysteresis
-    /// pressure signal, publish level changes, refill admission at the
-    /// resulting level. Registered hot path.
-    // lint:hot-path
-    #[inline]
-    pub fn tick(&mut self) {
-        let level = self.pressure.observe(self.backlog.len(), self.capacity);
-        if level != self.shared.level() {
-            self.shared.publish(level);
-        }
-        self.admission.tick(level);
-    }
-
-    /// Advances the RED idle clock for a tick with no arrivals (decays
-    /// the EWMA per the Floyd/Jacobson idle rule). Registered hot path.
-    // lint:hot-path
-    #[inline]
-    pub fn idle_tick(&mut self) {
-        self.backlog.idle_tick();
-    }
-
-    /// The backpressure byte for SUBMIT_ACK / HELLO_ACK replies: the
-    /// current pressure level (0 nominal, 1 elevated, 2 overloaded).
-    /// Registered hot path.
-    // lint:hot-path
-    #[inline]
-    pub fn reply_code(&self) -> u8 {
-        self.pressure.level().as_u8()
-    }
-
-    /// Writes off the entire edge backlog at [`LossSite::Drain`] (the
-    /// graceful-drain flush) and returns the count.
-    pub fn drain_write_off(&mut self) -> u64 {
-        let mut n = 0u64;
-        while self.backlog.pop().is_some() {
-            n += 1;
-        }
-        self.ledger.record_n(LossSite::Drain, n);
-        n
-    }
-
-    /// Accounts `n` packets that arrived after the drain cutoff and were
-    /// written off without entering the backlog.
-    pub fn write_off_late(&mut self, n: u64) {
-        self.offered += n;
-        self.ledger.record_n(LossSite::Drain, n);
-    }
-
-    /// The shareable pressure handle (lock-free reads from any thread).
-    pub fn shared_pressure(&self) -> Arc<SharedPressure> {
-        Arc::clone(&self.shared)
-    }
-
-    /// The loss ledger — an exact partition of every refused packet.
-    pub fn ledger(&self) -> &LossLedger {
-        &self.ledger
-    }
-
-    /// Packets offered to the gate so far (including late write-offs).
-    pub fn offered(&self) -> u64 {
-        self.offered
-    }
-
-    /// Packets served out of the backlog so far.
-    pub fn served(&self) -> u64 {
-        self.served
-    }
-
-    /// Served counts per slot.
-    pub fn served_per_slot(&self) -> &[u64] {
-        &self.served_per_slot
-    }
-
-    /// Current backlog depth.
-    pub fn backlog_len(&self) -> usize {
-        self.backlog.len()
-    }
-
-    /// The conservation identity: every offered packet is served, still
-    /// backlogged, or at exactly one ledger site.
-    pub fn conserves(&self) -> bool {
-        self.served + self.ledger.total() + self.backlog.len() as u64 == self.offered
-    }
-
-    /// Slots managed.
-    pub fn slots(&self) -> usize {
-        self.served_per_slot.len()
-    }
-
-    /// Packets shed from `slot` (QoS-confirmed RED drops).
-    pub fn sheds_for(&self, slot: usize) -> u64 {
-        self.shedder.shed(slot)
+    fn split(arrival: Self) -> (usize, Self) {
+        (arrival.slot as usize, arrival)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ss_overload::RedConfig;
+    use ss_types::WindowConstraint;
 
     fn gate(windows: &[WindowConstraint], capacity: usize) -> EdgeGate {
         EdgeGate::new(windows, 1000, 2000, RedConfig::classic(capacity), 7)
@@ -273,6 +48,11 @@ mod tests {
 
     fn arr(slot: u32, tag: u16) -> IngressArrival {
         IngressArrival { slot, tag }
+    }
+
+    /// Every offered packet is served, still backlogged, or ledgered.
+    fn conserves(g: &EdgeGate) -> bool {
+        g.conserves(g.served_total(), g.backlog_len() as u64)
     }
 
     #[test]
@@ -289,44 +69,10 @@ mod tests {
                 }
             }
             g.tick();
-            assert!(g.conserves(), "conservation at every step");
+            assert!(conserves(&g), "conservation at every step");
         }
         assert!(g.ledger().total() > 0, "2x load must lose something");
-        assert!(g.served() > 0);
-    }
-
-    #[test]
-    fn protected_slot_never_shed() {
-        // Effectively unlimited admission so pressure lands on RED and
-        // the shedder rather than the token buckets.
-        let mut g = EdgeGate::new(
-            &[WindowConstraint::new(0, 1), WindowConstraint::new(3, 4)],
-            1_000_000,
-            2_000_000,
-            RedConfig::classic(8),
-            7,
-        );
-        // Hold the backlog just under capacity so the RED average sits
-        // between min_th and max_th — the early-drop proposal region —
-        // while serving keeps the tolerant window regaining headroom.
-        for t in 0..20_000u32 {
-            g.offer(arr(t % 2, t as u16));
-            while g.backlog_len() > 6 {
-                match g.pop_backlog() {
-                    Some(a) => g.mark_served(a.slot as usize),
-                    None => break,
-                }
-            }
-            g.tick();
-        }
-        assert!(g.ledger().shed > 0, "tolerant slot absorbed the pressure");
-        assert_eq!(
-            g.ledger().shed,
-            g.sheds_for(1),
-            "every shed came from the tolerant slot"
-        );
-        assert_eq!(g.sheds_for(0), 0, "protected slot is never shed");
-        assert!(g.conserves());
+        assert!(g.served_total() > 0);
     }
 
     #[test]
@@ -363,6 +109,40 @@ mod tests {
         assert_eq!(g.backlog_len(), 0);
         g.write_off_late(5);
         assert_eq!(g.ledger().drain, off + 5);
-        assert!(g.conserves());
+        assert!(conserves(&g));
+    }
+
+    #[test]
+    fn red_average_decays_across_idle_ticks() {
+        // A tolerant slot with effectively unlimited admission: only RED
+        // can refuse it.
+        let mut g = EdgeGate::new(
+            &[WindowConstraint::new(3, 4)],
+            1_000_000,
+            2_000_000,
+            RedConfig::classic(16),
+            7,
+        );
+        // Hold the backlog between max_th (12) and capacity until the
+        // EWMA climbs past max_th and RED proposes drops.
+        for t in 0..2000u32 {
+            g.offer(arr(0, t as u16));
+            while g.backlog_len() > 14 {
+                if let Some(a) = g.pop_backlog() {
+                    g.mark_served(a.slot as usize);
+                }
+            }
+            g.tick();
+        }
+        assert!(g.ledger().shed > 0, "setup: RED must be proposing drops");
+        while let Some(a) = g.pop_backlog() {
+            g.mark_served(a.slot as usize);
+        }
+        // A long idle period: the average must decay per (1-w)^m instead
+        // of forced-dropping the first arrival into a freshly idle queue.
+        for _ in 0..2000 {
+            g.tick();
+        }
+        assert_eq!(g.offer(arr(0, 0)), EdgeVerdict::Admitted);
     }
 }

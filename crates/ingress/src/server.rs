@@ -31,10 +31,10 @@
 use crate::frame::{self, Frame, FrameDecoder};
 use crate::gate::{EdgeGate, EdgeVerdict, IngressArrival};
 use serde::Serialize;
-use ss_endsystem::{spsc_ring, Consumer, Producer, RedConfig};
+use ss_endsystem::{spsc_ring, Consumer, Producer};
 use ss_faults::rng::mix;
 use ss_faults::{FaultInjector, FaultKind, FaultSite};
-use ss_overload::{LossLedger, SharedPressure};
+use ss_overload::{LossLedger, RedConfig, SharedPressure};
 use ss_telemetry::{DumpReason, Registry, SharedFlightRecorder, Stage};
 use ss_types::WindowConstraint;
 use std::collections::BTreeMap;
@@ -287,7 +287,7 @@ impl EdgeCore {
             accept_faults: self.accept_faults,
             throttle_replies: self.throttle_replies,
             offered: self.gate.offered(),
-            served: self.gate.served(),
+            served: self.gate.served_total(),
             per_slot_served: self.gate.served_per_slot().to_vec(),
             loss: *self.gate.ledger(),
             reply_fingerprint: self.reply_fingerprint,
@@ -302,7 +302,13 @@ impl EdgeCore {
         let n = self.gate.drain_write_off();
         self.drain_writeoffs += n;
         if let Some(rec) = &self.recorder {
-            rec.record_control(self.gate.served(), 0, Stage::DecisionExpire, 0, n as u32);
+            rec.record_control(
+                self.gate.served_total(),
+                0,
+                Stage::DecisionExpire,
+                0,
+                n as u32,
+            );
         }
         n
     }
@@ -489,13 +495,13 @@ impl IngressServer {
                 let served = {
                     let c = lock_core(&self.core);
                     rec.record_control(
-                        c.gate.served(),
+                        c.gate.served_total(),
                         0,
                         Stage::DecisionExpire,
                         1,
                         self.live.load(Ordering::Acquire) as u32,
                     );
-                    c.gate.served()
+                    c.gate.served_total()
                 };
                 rec.auto_dump(DumpReason::DrainTimeout, served);
             }
@@ -523,7 +529,9 @@ impl IngressServer {
         c.drain_writeoffs += late;
         c.out = None; // disconnect the ring so the consumer can finish
         let totals = c.totals();
-        let conserved = c.gate.conserves();
+        let conserved = c
+            .gate
+            .conserves(c.gate.served_total(), c.gate.backlog_len() as u64);
         let written_off = c.drain_writeoffs;
         drop(c);
         DrainReport {
@@ -765,7 +773,6 @@ fn handle_frame(
                     EdgeVerdict::Admitted => 0,
                     EdgeVerdict::RejectedAdmission => 1,
                     EdgeVerdict::Shed => 2,
-                    EdgeVerdict::Overflow => 3,
                 };
                 if vcode == 0 {
                     admitted += 1;

@@ -7,7 +7,7 @@
 //! that decides whether to **admit**, **delay**, or **shed** work, and
 //! propagates backpressure end to end instead of dropping silently.
 //!
-//! Five cooperating pieces, each usable on its own:
+//! Six cooperating pieces, each usable on its own, and one composition:
 //!
 //! * [`AdmissionController`] — per-stream token buckets whose refill is
 //!   *window-constraint aware*: a stream with a tight DWCS loss tolerance
@@ -23,6 +23,9 @@
 //!   constraints are *currently satisfied* (loss headroom left in the
 //!   sliding `x/y` window), maximizing Table-3 deadlines-met under
 //!   overload.
+//! * [`RedQueue`] — classic Random Early Detection (the paper's §5.2
+//!   DRR + RED comparison point), whose Early/Forced verdicts double as
+//!   shed *proposals*.
 //! * [`CircuitBreaker`] — per-shard overload breaker, distinct from crash
 //!   handling: trips on sustained latency/backlog, sheds the shard's new
 //!   load while survivors keep full service, and half-opens on recovery.
@@ -30,11 +33,17 @@
 //!   shed-optional-streams → FCFS drain, with watchdog + pressure driven
 //!   entry/exit and per-rung dwell hysteresis.
 //!
-//! Loss is never silent: every rejection is classified by site in a
-//! [`LossLedger`] whose partition (admission / ring / shed / shard) must
-//! sum *exactly* to total loss — the chaos soak asserts it.
+//! [`Gate`] composes admission, a shed proposal (RED, or Overloaded
+//! pressure), the QoS veto, the ledger and pressure publication into the
+//! one per-arrival decision point the endsystem, the cluster nodes and
+//! the TCP edge all run.
 //!
-//! Everything here is deterministic, integer-only on the hot paths, and
+//! Loss is never silent: every rejection is classified by site in a
+//! [`LossLedger`] whose partition (admission / ring / shed / shard /
+//! drain) must sum *exactly* to total loss — the chaos soak asserts it.
+//!
+//! Everything here is deterministic (RED draws from a seeded RNG),
+//! integer-only on the hot paths apart from RED's EWMA, and
 //! allocation-free after construction (`try_admit`, `pick_victim`,
 //! `observe`, `record` are registered with the ss-lint hot-path-purity
 //! gate and covered by `tests/zero_alloc.rs`).
@@ -44,14 +53,18 @@
 
 pub mod breaker;
 pub mod bucket;
+pub mod gate;
 pub mod ladder;
 pub mod ledger;
 pub mod pressure;
+pub mod red;
 pub mod shed;
 
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use bucket::{AdmissionController, StreamClass};
+pub use gate::{BacklogItem, Gate, GateConfig, GateReason, GateVerdict, FULLY_PROTECTED};
 pub use ladder::{DegradationLadder, LadderConfig, Rung};
 pub use ledger::{LossLedger, LossSite};
 pub use pressure::{PressureConfig, PressureLevel, PressureSignal, SharedPressure};
+pub use red::{early_drop_probability, RedConfig, RedQueue, RedVerdict};
 pub use shed::QosShedder;

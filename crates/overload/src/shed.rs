@@ -9,12 +9,12 @@
 //! victims among the satisfied ones, loosest contract first, which is the
 //! policy that maximizes Table-3 deadlines-met under overload.
 //!
-//! The shedder is the *deterministic back end*; the probabilistic front
-//! end is the endsystem's RED queue (`ss_endsystem::RedQueue`), which
-//! decides *when* pressure warrants an early drop. The composition lives
-//! in `ss_endsystem::overload::OverloadGate`: RED proposes, the shedder
-//! disposes — and if the arriving stream is protected, the drop is
-//! refused and the packet admitted anyway.
+//! The shedder is the *deterministic back end*; the front end — RED
+//! ([`crate::RedQueue`]), or Overloaded pressure in a gate without RED —
+//! decides *when* pressure warrants a drop. The composition lives in
+//! [`crate::Gate`]: the front end proposes, the shedder disposes — and if
+//! the arriving stream is protected, the drop is refused and the packet
+//! admitted anyway.
 
 use ss_types::WindowConstraint;
 

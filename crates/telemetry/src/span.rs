@@ -34,7 +34,7 @@
 //! through non-decreasing ranks (admission → SPSC ring → gate → fabric →
 //! decision → service, or → shed). The gate ranks *after* the ring
 //! stages because that is where it runs: the scheduler thread drains the
-//! ring and offers each arrival to the `OverloadGate` before depositing
+//! ring and offers each arrival to the overload `Gate` before depositing
 //! it into the fabric. Control stages have no rank and are exempt from
 //! the causal check in [`crate::export::validate_causal`].
 
@@ -95,7 +95,7 @@ impl TraceTag {
 pub enum Stage {
     /// Arrival admitted into the endsystem (tag minted here).
     Admitted = 0,
-    /// `OverloadGate` ruled on the arrival (in the scheduler thread,
+    /// The overload `Gate` ruled on the arrival (in the scheduler thread,
     /// after the ring); `detail` carries the [`gate reason`](detail)
     /// code.
     GateVerdict = 1,
@@ -211,6 +211,9 @@ pub mod detail {
     /// Gate: RED chose a protected (zero-loss) stream; the veto readmitted
     /// it.
     pub const GATE_VETO_READMIT: u8 = 5;
+    /// Gate: Overloaded pressure shed a sheddable arrival (gate without
+    /// RED).
+    pub const GATE_PRESSURE_SHED: u8 = 6;
 
     /// [`super::Stage::PciTransfer`]: host → card (arrival writes).
     pub const PCI_TO_CARD: u8 = 0;

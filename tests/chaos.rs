@@ -428,8 +428,9 @@ fn fault_ledger_publishes_into_telemetry() {
 /// than the unmanaged baseline, and bit-identical replay.
 mod overload_soak {
     use super::*;
-    use sharestreams::endsystem::{GateConfig, GateVerdict, OverloadGate, RedConfig};
-    use sharestreams::overload::{PressureConfig, StreamClass};
+    use sharestreams::overload::{
+        Gate, GateConfig, GateVerdict, PressureConfig, RedConfig, StreamClass,
+    };
     use ss_faults::{FaultKind, FaultSite};
 
     const SLOTS: usize = 8;
@@ -518,10 +519,10 @@ mod overload_soak {
             },
         );
         let mut gate = if managed {
-            Some(OverloadGate::new(GateConfig {
+            Some(Gate::from_config(GateConfig {
                 classes: (0..SLOTS).map(class).collect(),
                 windows,
-                red: RedConfig::classic(RED_CAP),
+                red: Some(RedConfig::classic(RED_CAP)),
                 pressure: PressureConfig::default(),
                 red_seed: seed,
             }))
@@ -550,7 +551,7 @@ mod overload_soak {
                 let slot = ((cycle * 2 + k) as usize + seed as usize) % SLOTS;
                 out.offered += 1;
                 let admit = match gate.as_mut() {
-                    Some(g) => matches!(g.offer(slot), GateVerdict::Admit),
+                    Some(g) => matches!(g.offer(slot), GateVerdict::Admitted),
                     None => true,
                 };
                 if admit {
@@ -571,7 +572,7 @@ mod overload_soak {
             let backlog: usize = (0..SLOTS).map(|s| fabric.backlog(s).unwrap()).sum();
             out.max_backlog = out.max_backlog.max(backlog);
             if let Some(g) = gate.as_mut() {
-                g.tick(backlog, 2 * RED_CAP);
+                g.tick_at(backlog, 2 * RED_CAP);
             }
         }
         out.still_queued = (0..SLOTS)

@@ -330,8 +330,8 @@ fn steady_state_decision_cycles_do_not_allocate() {
     // RED backlog's VecDeque has reached its high-water capacity.
     #[cfg(feature = "ingress")]
     {
-        use sharestreams::endsystem::RedConfig;
         use sharestreams::ingress::{frame, EdgeGate, Frame, FrameDecoder, IngressArrival};
+        use sharestreams::overload::RedConfig;
         let entries: Vec<(u32, u16)> = (0..16)
             .map(|i| (i as u32 % SLOTS as u32, i as u16))
             .collect();
@@ -378,14 +378,14 @@ fn steady_state_decision_cycles_do_not_allocate() {
     // rejects, RED sheds, protected-stream vetoes, and plain admits —
     // plus the pressure/ledger bookkeeping behind them.
     {
-        use sharestreams::endsystem::{GateConfig, GateVerdict, OverloadGate, RedConfig};
+        use sharestreams::overload::{Gate, GateConfig, GateVerdict, RedConfig};
         let windows: Vec<WindowConstraint> = (0..SLOTS)
             .map(|s| WindowConstraint {
                 num: (s % 4) as u8,
                 den: 4,
             })
             .collect();
-        let mut gate = OverloadGate::new(GateConfig::from_windows(
+        let mut gate = Gate::from_config(GateConfig::from_windows(
             &windows,
             400,
             4_000,
@@ -393,12 +393,12 @@ fn steady_state_decision_cycles_do_not_allocate() {
             7,
         ));
         let mut next = 0usize;
-        let mut drive = |gate: &mut OverloadGate, cycles: u64| {
+        let mut drive = |gate: &mut Gate, cycles: u64| {
             for _ in 0..cycles {
                 let mut admitted = 0u32;
                 for _ in 0..2 {
                     next = (next + 1) % SLOTS;
-                    if matches!(gate.offer(next), GateVerdict::Admit) {
+                    if matches!(gate.offer(next), GateVerdict::Admitted) {
                         admitted += 1;
                     }
                 }
@@ -406,7 +406,7 @@ fn steady_state_decision_cycles_do_not_allocate() {
                     gate.served(next);
                 }
                 let occupied = gate.ledger().total() as usize % 128;
-                gate.tick(occupied, 128);
+                gate.tick_at(occupied, 128);
             }
         };
         drive(&mut gate, WARMUP);
